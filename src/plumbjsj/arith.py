@@ -133,10 +133,11 @@ def neg_cf_evaluate(a) -> Fraction:
         raise ValueError("empty exponent list")
     if any(x < 2 for x in a):
         raise ValueError("all exponents must be >= 2")
-    value = Fraction(-a[-1])
+    # value = num/den; one step is value <- -x - 1/value, in integers.
+    num, den = -a[-1], 1
     for x in reversed(a[:-1]):
-        value = -x - 1 / value
-    return value
+        num, den = -x * num - den, num
+    return Fraction(num, den)
 
 
 def meridian_after_surgeries(j: int) -> TorusCurve:

@@ -252,6 +252,11 @@ def is_consistent(g: PlumbingGraph) -> bool:
     product over paths (including closed paths based at a signed vertex)
     non-negative."""
     require_valid(g)
+    return _consistent(g)
+
+
+def _consistent(g: PlumbingGraph) -> bool:
+    """is_consistent for a graph known valid, such as an induced subgraph of one."""
     _, _, signs, extreme, edges = g.compact()
     if not all(extreme):
         return False

@@ -11,7 +11,7 @@ graph.
 
 from __future__ import annotations
 
-from plumbjsj.graph import GraphStructureError, PlumbingGraph
+from plumbjsj.graph import PlumbingGraph
 
 
 class GraphParseError(ValueError):
@@ -32,7 +32,7 @@ def _int_field(token: str, key: str, line_no: int) -> int:
 
 def parse_graph_file(text: str, name: str | None = None) -> PlumbingGraph:
     vertices: dict[int, tuple[int, int]] = {}
-    edges: list[tuple[int, int, int]] = []
+    edges: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -64,16 +64,18 @@ def parse_graph_file(text: str, name: str | None = None) -> PlumbingGraph:
             for w in (u, v):
                 if w not in vertices:
                     raise GraphParseError(line_no, f"unknown vertex {w}")
+            if u == v:
+                raise GraphParseError(line_no, f"self-loop at vertex {u}")
+            key = (min(u, v), max(u, v))
+            if key in edges:
+                raise GraphParseError(line_no, f"parallel edge between {key[0]} and {key[1]}")
             s = _int_field(tokens[3], "sign", line_no)
             if s not in (1, -1):
                 raise GraphParseError(line_no, f"bad sign token {tokens[3]!r}")
-            edges.append((u, v, s))
+            edges[key] = s
         else:
             raise GraphParseError(line_no, f"unknown directive {kind!r}")
-    try:
-        return PlumbingGraph(vertices, edges, name=name)
-    except GraphStructureError as exc:
-        raise GraphParseError(0, str(exc)) from exc
+    return PlumbingGraph(vertices, [(u, v, s) for (u, v), s in edges.items()], name=name)
 
 
 def write_graph_file(g: PlumbingGraph) -> str:

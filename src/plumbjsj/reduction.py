@@ -16,6 +16,7 @@ from plumbjsj import _kernel
 from plumbjsj.graph import (
     Path,
     PlumbingGraph,
+    _consistent,
     is_consistent,
     is_extreme,
     require_valid,
@@ -91,13 +92,14 @@ class ReductionTree:
             tuple(sorted(s)) for s, node in self.nodes.items() if node.consistent
         )
 
-    def children_of(self, vertex_set: frozenset[int]) -> list[TreeEdge]:
-        return [e for e in self.edges if e.parent == vertex_set]
-
 
 def non_extreme_vertices(g: PlumbingGraph) -> list[int]:
     """Ids of vertices whose secondary weight is not extreme, ascending."""
     require_valid(g)
+    return _non_extreme(g)
+
+
+def _non_extreme(g: PlumbingGraph) -> list[int]:
     return sorted(v for v, (b, r) in g.vertices.items() if not is_extreme(b, r))
 
 
@@ -111,8 +113,13 @@ def minimal_inconsistent_paths(g: PlumbingGraph) -> list[Path]:
     endpoint.
     """
     require_valid(g)
-    if non_extreme_vertices(g):
+    if _non_extreme(g):
         raise ValueError("graph has non-extreme vertices; delete those first")
+    return _minimal_paths(g)
+
+
+def _minimal_paths(g: PlumbingGraph) -> list[Path]:
+    """minimal_inconsistent_paths on a valid, all-extreme graph, unchecked."""
     adj = g.adjacency()
     sgn = {v: sign(r) for v, (b, r) in g.vertices.items()}
     found: dict[tuple[tuple[int, ...], bool], Path] = {}
@@ -156,75 +163,53 @@ def _datum(g: PlumbingGraph, v: int, rule) -> RoundHandleDatum:
     return RoundHandleDatum(v, (b, r), rule, lam_plus, lam_minus, nbr)
 
 
-def children_for_path(
-    g: PlumbingGraph, path: Path
-) -> list[tuple[PlumbingGraph, RoundHandleDatum]]:
-    """One child per breaking position along the path, deduplicated by the
-    deleted vertex (a closed path names its base twice)."""
-    out = []
-    seen: set[int] = set()
-    for k, v in enumerate(path.vertices, start=1):
-        if v in seen:
-            continue
-        seen.add(v)
-        out.append((g.delete_vertex(v), _datum(g, v, PathBreak(path, k))))
-    return out
+def _moves(g: PlumbingGraph, all_paths: bool) -> list[tuple[int, NonExtreme | PathBreak]]:
+    """(deleted vertex, rule) per child of a valid inconsistent graph; a vertex
+    is listed once, at its first position (a closed path names its base twice)."""
+    non_extreme = _non_extreme(g)
+    if non_extreme:
+        return [(non_extreme[0], NonExtreme())]
+    paths = _minimal_paths(g)
+    moves: dict[int, PathBreak] = {}
+    for path in paths if all_paths else paths[:1]:
+        for k, v in enumerate(path.vertices, start=1):
+            if v not in moves:
+                moves[v] = PathBreak(path, k)
+    return list(moves.items())
 
 
-def reduction_children(
-    g: PlumbingGraph,
-) -> list[tuple[PlumbingGraph, RoundHandleDatum]]:
+def reduction_children(g: PlumbingGraph) -> list[tuple[PlumbingGraph, RoundHandleDatum]]:
     """Children of an inconsistent graph under the default (deterministic)
     choices: least non-extreme vertex first, else the least minimal
     inconsistent path, broken at every position."""
     if is_consistent(g):
         raise ValueError("consistent graph has no reduction children")
-    non_extreme = non_extreme_vertices(g)
-    if non_extreme:
-        v = non_extreme[0]
-        return [(g.delete_vertex(v), _datum(g, v, NonExtreme()))]
-    paths = minimal_inconsistent_paths(g)
-    return children_for_path(g, paths[0])
+    return [(g.delete_vertex(v), _datum(g, v, rule)) for v, rule in _moves(g, False)]
 
 
 def reduce_to_tree(g: PlumbingGraph, explore_all_paths: bool = False) -> ReductionTree:
     """Expand reduction children breadth-first until every leaf is consistent.
 
-    Nodes are deduplicated globally by vertex set.  With explore_all_paths,
-    every minimal inconsistent path contributes children, not just the least.
+    Nodes are deduplicated globally by vertex set, and a child's graph is
+    built only for a new set.  With explore_all_paths, every minimal
+    inconsistent path contributes children, not just the least.
     """
     require_valid(g)
     tree = ReductionTree(root=g)
     root_set = frozenset(g.vertices)
-    tree.nodes[root_set] = TreeNode(g, is_consistent(g))
+    tree.nodes[root_set] = TreeNode(g, _consistent(g))
     queue: deque[frozenset[int]] = deque([root_set])
     while queue:
         parent_set = queue.popleft()
         node = tree.nodes[parent_set]
         if node.consistent:
             continue
-        non_extreme = non_extreme_vertices(node.graph)
-        if non_extreme:
-            v = non_extreme[0]
-            pairs = [(node.graph.delete_vertex(v), _datum(node.graph, v, NonExtreme()))]
-        else:
-            paths = minimal_inconsistent_paths(node.graph)
-            if not explore_all_paths:
-                paths = paths[:1]
-            pairs = []
-            seen_children: set[frozenset[int]] = set()
-            for path in paths:
-                for child, datum in children_for_path(node.graph, path):
-                    child_set = frozenset(child.vertices)
-                    if child_set in seen_children:
-                        continue
-                    seen_children.add(child_set)
-                    pairs.append((child, datum))
-        for child, datum in pairs:
-            child_set = frozenset(child.vertices)
-            tree.edges.append(TreeEdge(parent_set, child_set, datum))
+        for v, rule in _moves(node.graph, explore_all_paths):
+            child_set = parent_set - {v}
+            tree.edges.append(TreeEdge(parent_set, child_set, _datum(node.graph, v, rule)))
             if child_set not in tree.nodes:
-                tree.nodes[child_set] = TreeNode(child, is_consistent(child))
+                child = node.graph.delete_vertex(v)
+                tree.nodes[child_set] = TreeNode(child, _consistent(child))
                 queue.append(child_set)
     return tree
 

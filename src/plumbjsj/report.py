@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from plumbjsj.reduction import NonExtreme, ReductionTree
+from plumbjsj.reduction import NonExtreme, ReductionTree, TreeEdge
 
 
 def _set_str(vertex_set) -> str:
@@ -13,17 +13,26 @@ def _node_order(tree: ReductionTree) -> list[frozenset[int]]:
     return sorted(tree.nodes, key=lambda s: (-len(s), tuple(sorted(s))))
 
 
+def _children_by_parent(tree: ReductionTree) -> dict[frozenset[int], list[TreeEdge]]:
+    """Each parent's out-edges, sorted by child, in one pass over the edges."""
+    out: dict[frozenset[int], list[TreeEdge]] = {}
+    for edge in tree.edges:
+        out.setdefault(edge.parent, []).append(edge)
+    for edges in out.values():
+        edges.sort(key=lambda e: tuple(sorted(e.child)))
+    return out
+
+
 def render_report(tree: ReductionTree, oracle=None) -> str:
     """One block per node, then the leaves, then (optionally) the oracle's
     maximal consistent subgraphs.  Byte-identical across runs."""
+    children = _children_by_parent(tree)
     lines = []
     for vertex_set in _node_order(tree):
         node = tree.nodes[vertex_set]
         status = "consistent" if node.consistent else "inconsistent"
         lines.append(f"node {_set_str(vertex_set)} status={status}")
-        for edge in sorted(
-            tree.children_of(vertex_set), key=lambda e: tuple(sorted(e.child))
-        ):
+        for edge in children.get(vertex_set, ()):
             d = edge.datum
             lines.append(
                 f"  child {_set_str(edge.child)} delete={d.deleted_vertex}"
@@ -50,15 +59,10 @@ def emit_dot(tree: ReductionTree) -> str:
         lines.append(
             f'  {ids[vertex_set]} [label="{_set_str(vertex_set)}\\n{status}"];'
         )
+    children = _children_by_parent(tree)
     for vertex_set in order:
-        for edge in sorted(
-            tree.children_of(vertex_set), key=lambda e: tuple(sorted(e.child))
-        ):
-            rule = (
-                "non-extreme"
-                if isinstance(edge.datum.rule, NonExtreme)
-                else "path-break"
-            )
+        for edge in children.get(vertex_set, ()):
+            rule = "non-extreme" if isinstance(edge.datum.rule, NonExtreme) else "path-break"
             lines.append(
                 f"  {ids[edge.parent]} -> {ids[edge.child]}"
                 f' [label="delete v={edge.datum.deleted_vertex} ({rule})"];'

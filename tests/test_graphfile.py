@@ -56,8 +56,18 @@ def test_bad_field():
 
 def test_structural_error_surfaces_as_parse_error():
     text = "vertex 0 b=-2 r=0\nvertex 1 b=-2 r=0\nedge 0 1 sign=+1\nedge 1 0 sign=-1"
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphParseError) as exc:
         parse_graph_file(text)
+    assert exc.value.line_no == 4
+    assert "parallel edge between 0 and 1" in str(exc.value)
+
+
+def test_self_loop_line_number():
+    text = "vertex 0 b=-2 r=0\n# loop\nedge 0 0 sign=+1"
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph_file(text)
+    assert exc.value.line_no == 3
+    assert "self-loop at vertex 0" in str(exc.value)
 
 
 def test_round_trip():
