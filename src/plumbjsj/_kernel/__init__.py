@@ -1,7 +1,9 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
 Set ``PLUMBJSJ_PURE=1`` in the environment to force the interpreted kernels
-(useful for benchmarking and for debugging the compiled module).
+(useful for benchmarking and for debugging the compiled module).  The subset
+oracle is the pure component-split one under every backend; the compiled
+module's oracle is the exhaustive 2^n scan that it replaces.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ else:
 
 propagation_consistent = _impl.propagation_consistent
 paths_consistent = _impl.paths_consistent
-maximal_consistent_masks = _impl.maximal_consistent_masks
+maximal_consistent_masks = pure.maximal_consistent_masks
 
 __all__ = [
     "BACKEND",

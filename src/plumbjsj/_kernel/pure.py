@@ -1,7 +1,8 @@
-"""Pure-Python kernels for sign propagation and path-product checking.
+"""Pure-Python kernels for sign propagation, path-product checking and the
+maximal consistent subset oracle.
 
-These are the interpreted twins of the compiled routines in ``_speedups``;
-both operate on a compact encoding of a decorated graph:
+The first two are the interpreted twins of the compiled routines in
+``_speedups``; all three operate on a compact encoding of a decorated graph:
 
     n       -- number of vertices, labelled 0..n-1
     signs   -- per-vertex sign of the secondary weight, each -1, 0 or +1
@@ -13,10 +14,16 @@ endpoint-sign / edge-sign product over paths (including closed paths based at
 a signed vertex) is non-negative -- the first by spreading a tentative sign
 over each component, the second by brute-force path enumeration.  They are
 kept as two genuinely independent routes on purpose.
+
+``maximal_consistent_masks`` splits the extreme vertices' subgraph into
+connected components and scans each inconsistent component's subsets alone,
+instead of all 2^n subsets of the graph.  The exhaustive 2^n scan it replaces
+is kept as the reference in ``tests/brute_oracle.py``.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int, int]
@@ -98,30 +105,99 @@ def maximal_consistent_masks(
     signs: Sequence[int],
     edges: Iterable[Edge],
 ) -> list[int]:
-    """Bitmasks of the maximal vertex subsets inducing a consistent subgraph.
+    """Bitmasks of the maximal vertex subsets inducing a consistent subgraph,
+    ascending.
 
-    Exhaustive over all 2^n subsets.  Consistent subsets are closed under
-    taking subsets, so maximality only needs single-vertex extensions.
+    Only extreme vertices can belong to one.  A sign conflict or a negative
+    cycle lies inside one connected component, so a set is consistent exactly
+    when its part in each component of the extreme vertices' subgraph is, and
+    the maximal sets are the unions of one maximal set per component.
     """
-    edge_list = list(edges)
-    all_extreme_mask = 0
-    for v in range(n):
-        if extreme[v]:
-            all_extreme_mask |= 1 << v
-
-    consistent = bytearray(1 << n)
-    for mask in range(1 << n):
-        if mask & ~all_extreme_mask:
+    adj = _adjacency(n, ((u, v, s) for u, v, s in edges if extreme[u] and extreme[v]))
+    seen = [False] * n
+    choices = []
+    for root in range(n):
+        if not extreme[root] or seen[root]:
             continue
-        sub_edges = [(u, v, s) for u, v, s in edge_list if mask >> u & 1 and mask >> v & 1]
-        if propagation_consistent(n, signs, sub_edges):
-            consistent[mask] = 1
+        seen[root] = True
+        comp = [root]
+        for v in comp:
+            for w, _ in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        choices.append(_component_maximal(sorted(comp), signs, adj))
+    # The components' masks are disjoint, so their sum is their union.
+    return sorted(sum(pick) for pick in product(*choices))
 
+
+def _component_maximal(
+    comp: list[int], signs: Sequence[int], adj: list[list[tuple[int, int]]]
+) -> list[int]:
+    """Bitmasks of the maximal consistent subsets of one connected component.
+
+    A consistent component is its own only choice.  Otherwise its 2^k
+    subsets are scanned in increasing order on local indices 0..k-1, at most
+    one check each.  Consistency is hereditary, so a subset is checked only
+    when dropping its lowest or its highest vertex leaves a consistent set,
+    and then only the component of its highest vertex needs a check.
+    """
+    k = len(comp)
+    local = {v: i for i, v in enumerate(comp)}
+    local_signs = [signs[v] for v in comp]
+    nbrs = [[(1 << local[w], local[w], s) for w, s in adj[v]] for v in comp]
+    full = (1 << k) - 1
+    if _consistent_around(full, 0, local_signs, nbrs):
+        return [sum(1 << v for v in comp)]
+
+    ok = bytearray(1 << k)
+    ok[0] = 1
+    for mask in range(1, 1 << k):
+        top = mask.bit_length() - 1
+        if (
+            ok[mask & (mask - 1)]
+            and ok[mask ^ (1 << top)]
+            and _consistent_around(mask, top, local_signs, nbrs)
+        ):
+            ok[mask] = 1
+
+    bits = [1 << i for i in range(k)]
     out = []
-    for mask in range(1 << n):
-        if not consistent[mask]:
-            continue
-        if any(not mask >> v & 1 and consistent[mask | 1 << v] for v in range(n)):
-            continue
-        out.append(mask)
+    for mask in range(1 << k):
+        if ok[mask] and not any(ok[mask | b] for b in bits if not mask & b):
+            out.append(sum(1 << comp[i] for i in range(k) if mask >> i & 1))
     return out
+
+
+def _consistent_around(mask: int, h: int, signs: Sequence[int], nbrs) -> bool:
+    """Whether the component of local vertex h in the subgraph induced by
+    ``mask`` is consistent.
+
+    Spreads a switching potential z (z[h] = 1) over the component.  It is
+    inconsistent when it holds a signed vertex and either an edge disagrees
+    with z (a negative cycle) or two signed vertices w differ in
+    signs[w] * z[w] (a negative path between them).
+    """
+    z = [0] * len(signs)
+    z[h] = 1
+    anchor = signs[h]
+    balanced = True
+    stack = [h]
+    while stack:
+        v = stack.pop()
+        zv = z[v]
+        for bit, w, s in nbrs[v]:
+            if not mask & bit:
+                continue
+            t = zv * s
+            if not z[w]:
+                z[w] = t
+                stack.append(w)
+                if signs[w]:
+                    if not anchor:
+                        anchor = signs[w] * t
+                    elif anchor != signs[w] * t:
+                        return False
+            elif z[w] != t:
+                balanced = False
+    return balanced or not anchor

@@ -32,10 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-paths", action="store_true", dest="all_paths",
                    help="break every minimal inconsistent path, not just the least")
     p.add_argument("--oracle", action="store_true",
-                   help="append the brute-force maximal consistent subgraphs")
+                   help="append the maximal consistent subgraphs (subset oracle)")
     p.add_argument("--dot", metavar="PATH", help="also write the tree as DOT")
 
-    p = sub.add_parser("subgraphs", help="maximal consistent subgraphs (brute force)")
+    p = sub.add_parser("subgraphs", help="maximal consistent subgraphs (subset oracle)")
     p.add_argument("file")
 
     p = sub.add_parser("count", help="count Legendrian chain realizations")

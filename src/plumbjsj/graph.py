@@ -67,10 +67,16 @@ class PlumbingGraph:
                 raise GraphStructureError(f"parallel edge between {key[0]} and {key[1]}")
             norm[key] = s
 
-        object.__setattr__(self, "vertices", dict(sorted(verts.items())))
-        object.__setattr__(
-            self, "edges", frozenset((u, v, s) for (u, v), s in norm.items())
+        self._fill(
+            dict(sorted(verts.items())),
+            frozenset((u, v, s) for (u, v), s in norm.items()),
+            name,
         )
+
+    def _fill(self, vertices: dict, edges: frozenset, name: str | None) -> None:
+        """Set the fields; vertices sorted by id, edges (u, v, s) with u < v."""
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_compact", None)
@@ -119,15 +125,19 @@ class PlumbingGraph:
         return self._compact
 
     def induced_subgraph(self, keep) -> "PlumbingGraph":
+        """The subgraph on the ids in keep.  It is filtered from this graph's
+        checked, sorted and normalized fields, so __init__ is skipped."""
         keep = set(keep)
-        unknown = keep - set(self.vertices)
+        unknown = keep - self.vertices.keys()
         if unknown:
             raise GraphStructureError(f"unknown vertices {sorted(unknown)}")
-        return PlumbingGraph(
-            {v: self.vertices[v] for v in keep},
-            [(u, v, s) for u, v, s in self.edges if u in keep and v in keep],
-            name=self.name,
+        child = object.__new__(PlumbingGraph)
+        child._fill(
+            {v: w for v, w in self.vertices.items() if v in keep},
+            frozenset(e for e in self.edges if e[0] in keep and e[1] in keep),
+            self.name,
         )
+        return child
 
     def delete_vertex(self, v: int) -> "PlumbingGraph":
         return self.induced_subgraph(set(self.vertices) - {v})

@@ -27,7 +27,7 @@ from plumbjsj.unknot import UnknotDescriptor
 
 
 class SizeLimitError(ValueError):
-    """Brute-force subgraph enumeration refused: too many vertices."""
+    """Subset enumeration refused: too many vertices."""
 
 
 MAX_ORACLE_VERTICES = 22
@@ -215,9 +215,14 @@ def reduce_to_tree(g: PlumbingGraph, explore_all_paths: bool = False) -> Reducti
 
 
 def maximal_consistent_subgraphs(g: PlumbingGraph) -> list[tuple[int, ...]]:
-    """Vertex sets inducing maximal consistent subgraphs, by exhaustive subset
-    enumeration.  This is the independent oracle for the reduction algorithm
-    and is deliberately brute-force."""
+    """Vertex sets inducing maximal consistent subgraphs, sorted.
+
+    This is the independent oracle for the reduction algorithm: it searches
+    vertex subsets and makes no reduction moves.  The kernel splits the
+    extreme vertices' subgraph into connected components and scans the
+    subsets of each inconsistent component alone; the exhaustive scan over
+    all 2^n subsets is kept as the tests' reference (tests/brute_oracle.py).
+    """
     require_valid(g)
     ids, _, signs, extreme, edges = g.compact()
     n = len(ids)

@@ -25,6 +25,7 @@ from itertools import product
 from math import gcd, prod
 from pathlib import Path
 
+import brute_oracle
 import family
 
 from plumbjsj import _kernel
@@ -184,6 +185,7 @@ def _run_reduction_checks(name, n, edges, esigns, states):
     ]
     g = build_graph(n, edges, esigns, decorations)
     oracle = maximal_consistent_subgraphs(g)
+    assert oracle == brute_oracle.maximal_consistent_subgraphs(g), (name, esigns, states)
     if is_consistent(g):
         assert oracle == [tuple(range(n))]
         return {"consistent": True, "leaves": [tuple(range(n))], "oracle": oracle,
@@ -283,6 +285,7 @@ def test_criterion_02_reduction_soundness():
         f"all leaves consistent and oracle-bounded on {totals['inconsistent_graphs']}"
         f" inconsistent graphs ({totals['graphs']} total, {totals['unique_runs']}"
         f" switching classes run, {totals['samples']} invariance samples);"
+        f" oracle == exhaustive subset scan on every class;"
         f" maximal leaves == oracle on every linear chain"
         f" ({totals['linear_combos']} combos); {elapsed:.1f} s",
     )

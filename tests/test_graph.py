@@ -114,6 +114,22 @@ class TestGraphStructure:
         with pytest.raises(GraphStructureError):
             g.induced_subgraph({0, 9})
 
+    def test_induced_subgraph_matches_a_fresh_build(self):
+        g = PlumbingGraph(
+            {3: (-3, 1), 0: (-2, 0), 2: (-3, -1), 1: (-2, 0)},
+            [(3, 0, 1), (2, 0, -1), (1, 2, 1)],
+            name="g",
+        )
+        h = g.induced_subgraph([2, 3, 0])
+        fresh = PlumbingGraph(
+            {0: (-2, 0), 2: (-3, -1), 3: (-3, 1)}, [(0, 3, 1), (0, 2, -1)]
+        )
+        assert h == fresh and hash(h) == hash(fresh)
+        assert list(h.vertices) == [0, 2, 3] and h.name == "g"
+        assert h.compact() == fresh.compact() and h.adjacency() == fresh.adjacency()
+        with pytest.raises(AttributeError):
+            h.name = "other"
+
 
 class TestValidation:
     def test_minimal_valid(self):
