@@ -1,4 +1,4 @@
-"""Time the three hot kernels alone.
+"""Time the three hot kernels and the arith layer alone.
 
 Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
@@ -9,6 +9,11 @@ path enumeration are timed in the pure-Python backend and, when it is built,
 the compiled one.  The oracle row times the library's oracle,
 ``_kernel.maximal_consistent_masks``, which is the pure component-split
 routine under every backend.
+
+The arith rows mirror the benchmark's arith_roundtrip workload:
+``factor_monodromy`` at the CLI defaults on words of 2-5 exponents with
+a_0 = 3 and the rest in 2-4, and the continued-fraction rows (expand,
+evaluate and count every coprime q < p for p up to 500).
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from math import gcd
 
-from plumbjsj import _kernel
+from plumbjsj import _kernel, arith, diagram
 from plumbjsj._kernel import pure
 
 try:
@@ -42,14 +48,21 @@ def make_instances(rng, count, n_range, edge_prob):
     return out
 
 
-def time_call(fn, instances, repeats):
+def best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        for n, signs, extreme, edges in instances:
-            fn(n, signs, extreme, edges)
+        fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def time_call(fn, instances, repeats):
+    def run():
+        for n, signs, extreme, edges in instances:
+            fn(n, signs, extreme, edges)
+
+    return best_of(run, repeats)
 
 
 # Kernels with a pure and a compiled twin: (label, pick, instance parameters).
@@ -68,6 +81,31 @@ TWIN_WORKLOADS = [
 
 ORACLE_LABEL = "maximal_consistent_masks (200 graphs, n<=14)"
 ORACLE_PARAMS = dict(count=200, n_range=(8, 14), edge_prob=0.25)
+
+
+ARITH_WORDS_LABEL = "factor_monodromy (400 words, 2-5 exponents)"
+ARITH_ROWS_LABEL = "cf rows: expand/evaluate/count (p<=500)"
+
+
+def make_words(rng, per_length=100):
+    return [
+        arith.MonodromyWord(rng.choice((1, -1)), (3,) + tuple(rng.randint(2, 4) for _ in range(n)))
+        for n in range(1, 5)
+        for _ in range(per_length)
+    ]
+
+
+def factor_words(matrices):
+    for m in matrices:
+        arith.factor_monodromy(m, max_n=6, max_a=12)
+
+
+def cf_rows(rows):
+    for p, qs in rows:
+        for q in qs:
+            a = arith.neg_cf_expand(p, q)
+            arith.neg_cf_evaluate(a)
+            diagram.count_structures(a)
 
 
 def main() -> None:
@@ -90,6 +128,13 @@ def main() -> None:
     instances = make_instances(random.Random(7), **ORACLE_PARAMS)
     t_oracle = time_call(_kernel.maximal_consistent_masks, instances, args.repeats)
     print(f"{ORACLE_LABEL:46s} library {t_oracle * 1e3:8.1f} ms")
+
+    matrices = [arith.monodromy_matrix(w) for w in make_words(random.Random(7))]
+    t_factor = best_of(lambda: factor_words(matrices), args.repeats)
+    print(f"{ARITH_WORDS_LABEL:46s} library {t_factor * 1e3:8.1f} ms")
+    rows = [(p, [q for q in range(1, p) if gcd(p, q) == 1]) for p in range(2, 501)]
+    t_rows = best_of(lambda: cf_rows(rows), args.repeats)
+    print(f"{ARITH_ROWS_LABEL:46s} library {t_rows * 1e3:8.1f} ms")
 
 
 if __name__ == "__main__":

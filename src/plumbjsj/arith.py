@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -131,7 +130,7 @@ def neg_cf_evaluate(a) -> Fraction:
     a = list(a)
     if not a:
         raise ValueError("empty exponent list")
-    if any(x < 2 for x in a):
+    if min(a) < 2:
         raise ValueError("all exponents must be >= 2")
     # value = num/den; one step is value <- -x - 1/value, in integers.
     num, den = -a[-1], 1
@@ -227,7 +226,7 @@ class MonodromyWord:
             raise ValueError("at least one exponent required")
         if self.exponents[0] < 3:
             raise ValueError("leading exponent must be >= 3")
-        if any(a < 2 for a in self.exponents[1:]):
+        if min(self.exponents) < 2:  # the leading one is already >= 3
             raise ValueError("all exponents must be >= 2")
 
     def __str__(self) -> str:
@@ -237,30 +236,43 @@ class MonodromyWord:
 
 def monodromy_matrix(w: MonodromyWord) -> IntMatrix2:
     """Product of the blocks T^{-a} S = [[a, 1], [-1, 0]], then the sign."""
-    m = IDENTITY
+    # Right-multiplying by a block maps the rows (x, y) to (a*x - y, x).
+    m11, m12, m21, m22 = 1, 0, 0, 1
     for a in w.exponents:
-        m = m @ IntMatrix2(a, 1, -1, 0)
-    return m if w.sign > 0 else -m
+        m11, m12, m21, m22 = a * m11 - m12, m11, a * m21 - m22, m21
+    s = w.sign
+    return IntMatrix2(s * m11, s * m12, s * m21, s * m22)
 
 
 def factor_monodromy(
     A: IntMatrix2, max_n: int, max_a: int
 ) -> MonodromyWord | None:
-    """Bounded exhaustive search for a word whose matrix equals A exactly.
+    """The normal-form word whose matrix equals A exactly, or None.
 
-    Candidates are tried with n ascending, exponent tuples in lexicographic
-    order, positive sign before negative; the first (least) match is
-    returned, None when the bounds are exhausted.
+    A block T^{-a} S = [[a, 1], [-1, 0]] sends a column (p', -q') to
+    (a*p' - q', -p'), so the first column of the product over a_0, ..., a_n
+    is (p, -q) with p/q = [a_0, a_1, ..., a_n], the negative (Hirzebruch-Jung)
+    continued fraction a_0 - 1/(a_1 - 1/(...)), and p > q >= 1.  With every
+    a_i >= 2 that expansion is unique and ``neg_cf_expand`` recovers it; the
+    word's sign is the sign of m11.  So at most one word has matrix A, and
+    one matrix comparison settles the second column.
+
+    ``max_n`` and ``max_a`` bound the answer, not a search: they are applied
+    after the expansion, and a word with more than max_n + 1 exponents or an
+    exponent above max_a gives None.  The result equals the first match of
+    the bounded exhaustive search kept in ``tests/brute_factor.py``.
     """
     if A.det != 1:
         raise ValueError(f"monodromy must have determinant 1, got {A.det}")
     if abs(A.trace) <= 2:
         raise ValueError(f"monodromy must be hyperbolic, |trace| = {abs(A.trace)}")
-    for n in range(max_n + 1):
-        for a0 in range(3, max_a + 1):
-            for tail in iter_product(range(2, max_a + 1), repeat=n):
-                for sgn in (1, -1):
-                    word = MonodromyWord(sgn, (a0,) + tail)
-                    if monodromy_matrix(word) == A:
-                        return word
-    return None
+    sgn = 1 if A.m11 > 0 else -1
+    p, q = sgn * A.m11, -sgn * A.m21
+    if not p > q >= 1:
+        return None
+    # det 1 makes the first column primitive, so p and q are coprime.
+    a = neg_cf_expand(p, q)
+    if a[0] < 3 or len(a) - 1 > max_n or max(a) > max_a:
+        return None
+    word = MonodromyWord(sgn, tuple(a))
+    return word if monodromy_matrix(word) == A else None

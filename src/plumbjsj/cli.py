@@ -52,10 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
     q = bundle_sub.add_parser("word", help="matrix and counts of a monodromy word")
     q.add_argument("sign", choices=["+", "-"])
     q.add_argument("exponents", type=int, nargs="+", metavar="A")
-    q = bundle_sub.add_parser("factor", help="search for a word with this matrix")
+    q = bundle_sub.add_parser(
+        "factor", help="the unique normal-form word with this matrix, within the bounds"
+    )
     q.add_argument("entries", type=int, nargs=4, metavar="M")
-    q.add_argument("--max-n", type=int, default=6, dest="max_n")
-    q.add_argument("--max-a", type=int, default=12, dest="max_a")
+    q.add_argument("--max-n", type=int, default=6, dest="max_n",
+                   help="report a word with at most max_n + 1 exponents (default 6)")
+    q.add_argument("--max-a", type=int, default=12, dest="max_a",
+                   help="report a word with no exponent above max_a (default 12)")
 
     p = sub.add_parser("slopes", help="mixed-torus slope calculus for chain length n")
     p.add_argument("n", type=int)

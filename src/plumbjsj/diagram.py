@@ -94,10 +94,10 @@ def count_structures(a) -> tuple[int, int, int]:
     """(total, universally tight, virtually overtwisted) Legendrian
     realizations of the chain with framings -a_k."""
     a = list(a)
-    if not a or any(x < 2 for x in a):
+    if not a or min(a) < 2:
         raise ValueError("all framing exponents must be >= 2")
     total = prod(x - 1 for x in a)
-    universally_tight = 1 if all(x == 2 for x in a) else 2
+    universally_tight = 1 if max(a) == 2 else 2
     return total, universally_tight, total - universally_tight
 
 

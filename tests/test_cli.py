@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from plumbjsj.arith import MonodromyWord, monodromy_matrix
 from plumbjsj.cli import run_command
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -104,6 +105,21 @@ class TestArithCommands:
             ["bundle", "factor", "--max-n", "0", "--max-a", "3", "--", "2", "1", "1", "1"]
         )
         assert (status, out) == (0, "not found\n")
+
+    def test_bundle_factor_no_word_at_defaults(self):
+        # No word has this matrix (its first column (2, 1) has q < 0).
+        status, out = run_command(["bundle", "factor", "2", "1", "1", "1"])
+        assert (status, out) == (0, "not found\n")
+
+    def test_bundle_factor_long_word(self):
+        exponents = (3,) + (2, 5, 4) * 9 + (7, 2)
+        m = monodromy_matrix(MonodromyWord(-1, exponents))
+        entries = [str(x) for x in (m.m11, m.m12, m.m21, m.m22)]
+        # The defaults bound the answer to 7 exponents; this word has 30.
+        status, out = run_command(["bundle", "factor", "--", *entries])
+        assert (status, out) == (0, "not found\n")
+        status, out = run_command(["bundle", "factor", "--max-n", "40", "--", *entries])
+        assert (status, out) == (0, f"word=-[{','.join(map(str, exponents))}]\n")
 
     def test_slopes(self):
         status, out = run_command(["slopes", "1"])
