@@ -1,4 +1,4 @@
-"""Time the three hot kernels and the arith layer alone.
+"""Time the three hot kernels, the reduction and the arith layer alone.
 
 Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
@@ -14,6 +14,10 @@ The arith rows mirror the benchmark's arith_roundtrip workload:
 ``factor_monodromy`` at the CLI defaults on words of 2-5 exponents with
 a_0 = 3 and the rest in 2-4, and the continued-fraction rows (expand,
 evaluate and count every coprime q < p for p up to 500).
+
+The reduction row times ``reduce_to_tree`` with ``explore_all_paths=True``
+plus ``render_report`` and ``emit_dot`` on the 12-vertex path whose signs
+read ``+-0+-0+-0+-0`` (1,344 nodes and 4,232 edges).
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import random
 import time
 from math import gcd
 
-from plumbjsj import _kernel, arith, diagram
+from plumbjsj import _kernel, arith, diagram, reduction, report
 from plumbjsj._kernel import pure
+from plumbjsj.graph import PlumbingGraph
 
 try:
     from plumbjsj._kernel import _speedups
@@ -108,6 +113,25 @@ def cf_rows(rows):
             diagram.count_structures(a)
 
 
+REDUCE_LABEL = "reduce --all-paths + report + DOT (n=12 path)"
+
+
+def signed_path(pattern):
+    """A path with one vertex per character: '+' is (-3, 1), '-' is (-3, -1)
+    and '0' is (-2, 0); all edges positive."""
+    deco = {"+": (-3, 1), "-": (-3, -1), "0": (-2, 0)}
+    return PlumbingGraph(
+        {i: deco[c] for i, c in enumerate(pattern)},
+        [(i, i + 1, 1) for i in range(len(pattern) - 1)],
+    )
+
+
+def reduce_and_render(g):
+    tree = reduction.reduce_to_tree(g, explore_all_paths=True)
+    report.render_report(tree)
+    report.emit_dot(tree)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3)
@@ -128,6 +152,10 @@ def main() -> None:
     instances = make_instances(random.Random(7), **ORACLE_PARAMS)
     t_oracle = time_call(_kernel.maximal_consistent_masks, instances, args.repeats)
     print(f"{ORACLE_LABEL:46s} library {t_oracle * 1e3:8.1f} ms")
+
+    g = signed_path("+-0+-0+-0+-0")
+    t_reduce = best_of(lambda: reduce_and_render(g), args.repeats)
+    print(f"{REDUCE_LABEL:46s} library {t_reduce * 1e3:8.1f} ms")
 
     matrices = [arith.monodromy_matrix(w) for w in make_words(random.Random(7))]
     t_factor = best_of(lambda: factor_words(matrices), args.repeats)

@@ -3,7 +3,8 @@
 Set ``PLUMBJSJ_PURE=1`` in the environment to force the interpreted kernels
 (useful for benchmarking and for debugging the compiled module).  The subset
 oracle is the pure component-split one under every backend; the compiled
-module's oracle is the exhaustive 2^n scan that it replaces.
+module's oracle is the exhaustive 2^n scan that it replaces.  The mask check
+that the reduction tree runs on its nodes is pure under every backend too.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ else:
 propagation_consistent = _impl.propagation_consistent
 paths_consistent = _impl.paths_consistent
 maximal_consistent_masks = pure.maximal_consistent_masks
+mask_consistent = pure.mask_consistent
 
 __all__ = [
     "BACKEND",
     "propagation_consistent",
     "paths_consistent",
     "maximal_consistent_masks",
+    "mask_consistent",
     "pure",
 ]

@@ -19,6 +19,10 @@ kept as two genuinely independent routes on purpose.
 connected components and scans each inconsistent component's subsets alone,
 instead of all 2^n subsets of the graph.  The exhaustive 2^n scan it replaces
 is kept as the reference in ``tests/brute_oracle.py``.
+
+``mask_consistent`` is the check the oracle makes on each subset, applied to
+the subgraph that a bitmask induces on a whole graph; the reduction tree
+keys its nodes by such masks.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def _component_maximal(
     local_signs = [signs[v] for v in comp]
     nbrs = [[(1 << local[w], local[w], s) for w, s in adj[v]] for v in comp]
     full = (1 << k) - 1
-    if _consistent_around(full, 0, local_signs, nbrs):
+    if _consistent_around(full, 0, local_signs, nbrs, [0] * k):
         return [sum(1 << v for v in comp)]
 
     ok = bytearray(1 << k)
@@ -157,7 +161,7 @@ def _component_maximal(
         if (
             ok[mask & (mask - 1)]
             and ok[mask ^ (1 << top)]
-            and _consistent_around(mask, top, local_signs, nbrs)
+            and _consistent_around(mask, top, local_signs, nbrs, [0] * k)
         ):
             ok[mask] = 1
 
@@ -169,16 +173,29 @@ def _component_maximal(
     return out
 
 
-def _consistent_around(mask: int, h: int, signs: Sequence[int], nbrs) -> bool:
+def mask_consistent(mask: int, signs: Sequence[int], nbrs) -> bool:
+    """Whether the subgraph induced by ``mask`` is consistent, given
+    ``nbrs[v]`` as (1 << w, w, edge sign) per neighbour w of v: each of its
+    components is checked by ``_consistent_around``, on one shared potential.
+    Extreme decorations are the caller's to check, as in
+    ``propagation_consistent``."""
+    z = [0] * len(signs)
+    for h in range(mask.bit_length()):
+        if mask >> h & 1 and not z[h] and not _consistent_around(mask, h, signs, nbrs, z):
+            return False
+    return True
+
+
+def _consistent_around(mask: int, h: int, signs: Sequence[int], nbrs, z: list[int]) -> bool:
     """Whether the component of local vertex h in the subgraph induced by
-    ``mask`` is consistent.
+    ``mask`` is consistent; ``z`` is 0 on that component and is left holding
+    its potential.
 
     Spreads a switching potential z (z[h] = 1) over the component.  It is
     inconsistent when it holds a signed vertex and either an edge disagrees
     with z (a negative cycle) or two signed vertices w differ in
     signs[w] * z[w] (a negative path between them).
     """
-    z = [0] * len(signs)
     z[h] = 1
     anchor = signs[h]
     balanced = True

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from math import prod
 
 from plumbjsj.arith import MonodromyWord, neg_cf_expand
-from plumbjsj.graph import PlumbingGraph, require_valid
+from plumbjsj.graph import PlumbingGraph, cycle_rank, require_valid
 from plumbjsj.unknot import MAX_TB_UNKNOT, UnknotDescriptor
 
 
@@ -221,27 +221,10 @@ def eligible_chain(g: PlumbingGraph, chain) -> bool:
     return all(g.degree(v) <= 2 for v in chain[1:-1])
 
 
-def _unique_cycle(g: PlumbingGraph) -> list[int] | None:
-    """Vertices of the unique cycle when the cycle rank is exactly 1."""
-    n_comp = 0
-    seen: set[int] = set()
+def _cycle_vertices(g: PlumbingGraph) -> list[int]:
+    """Vertices of the unique cycle of a graph of cycle rank 1: what is left
+    after peeling leaves."""
     adj = g.adjacency()
-    for start in g.vertices:
-        if start in seen:
-            continue
-        n_comp += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    rank = len(g.edges) - len(g.vertices) + n_comp
-    if rank != 1:
-        return None
-    # Peel leaves; what remains is the cycle.
     degree = {v: g.degree(v) for v in g.vertices}
     queue = [v for v, d in degree.items() if d <= 1]
     removed = set()
@@ -264,31 +247,14 @@ def stein_description(g: PlumbingGraph, chain=None) -> SteinDescription:
     the general wrapped-up drawing algorithm and is rejected."""
     require_valid(g)
     order = tuple(sorted(g.vertices))
-    cycle = _unique_cycle(g)
-    # cycle is None either for rank 0 or rank >= 2; distinguish via the rank.
-    seen: set[int] = set()
-    comps = 0
-    adj = g.adjacency()
-    for start in order:
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    rank = len(g.edges) - len(order) + comps
-    if rank >= 2 or (rank == 1 and cycle is None):
+    rank = cycle_rank(g)
+    if rank >= 2:
         raise UnsupportedShapeError(
             "graph has two or more independent cycles; wrapped-up drawing not supported"
         )
 
     if rank == 1:
-        assert cycle is not None
+        cycle = _cycle_vertices(g)
         if chain is None:
             chain = cycle
         if not set(chain) <= set(cycle):

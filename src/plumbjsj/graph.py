@@ -50,7 +50,12 @@ class PlumbingGraph:
             if not isinstance(vid, int) or isinstance(vid, bool) or vid < 0:
                 raise GraphStructureError(f"vertex id must be a non-negative integer: {vid!r}")
             b, r = weights
-            verts[vid] = (int(b), int(r))
+            # Exact type: bool, float and other int subclasses are refused.
+            if type(b) is not int or type(r) is not int:
+                raise GraphStructureError(
+                    f"vertex {vid} has weights {weights!r}, expected integers (b, r)"
+                )
+            verts[vid] = (b, r)
 
         norm: dict[tuple[int, int], int] = {}
         for item in edges:
@@ -60,7 +65,7 @@ class PlumbingGraph:
             if u not in verts or v not in verts:
                 missing = u if u not in verts else v
                 raise GraphStructureError(f"edge ({u},{v}) references unknown vertex {missing}")
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise GraphStructureError(f"edge ({u},{v}) has sign {s!r}, expected +1 or -1")
             key = (min(u, v), max(u, v))
             if key in norm:
@@ -184,7 +189,9 @@ class Path:
         return frozenset(self.vertices)
 
 
-def _is_forest(g: PlumbingGraph) -> bool:
+def cycle_rank(g: PlumbingGraph) -> int:
+    """Number of independent cycles: |E| - |V| + the number of components,
+    counted as the edges that close a cycle in a union-find pass."""
     parent = {v: v for v in g.vertices}
 
     def find(x):
@@ -193,12 +200,14 @@ def _is_forest(g: PlumbingGraph) -> bool:
             x = parent[x]
         return x
 
+    rank = 0
     for u, v, _ in g.edges:
         ru, rv = find(u), find(v)
         if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+            rank += 1
+        else:
+            parent[ru] = rv
+    return rank
 
 
 def validate_graph(g: PlumbingGraph) -> ValidationReport:
@@ -209,6 +218,7 @@ def validate_graph(g: PlumbingGraph) -> ValidationReport:
     construction / parse time, so they cannot reach this function.
     """
     out: list[Violation] = []
+    high_degree = []
     for v, (b, r) in g.vertices.items():
         if b > -2:
             out.append(Violation("decoration", f"vertex {v}", f"b(v) <= -2 fails (b={b})"))
@@ -220,18 +230,18 @@ def validate_graph(g: PlumbingGraph) -> ValidationReport:
                     f"r(v) must equal b(v)+2k with 1 <= k <= -(b(v)+1) (b={b}, r={r})",
                 )
             )
-        if b + g.degree(v) > 0:
+        degree = g.degree(v)
+        if b + degree > 0:
             out.append(
-                Violation(
-                    "good", f"vertex {v}", f"b(v)+deg(v) <= 0 fails ({b}+{g.degree(v)})"
-                )
+                Violation("good", f"vertex {v}", f"b(v)+deg(v) <= 0 fails ({b}+{degree})")
             )
-    if not _is_forest(g) and any(g.degree(v) > 3 for v in g.vertices):
-        bad = min(v for v in g.vertices if g.degree(v) > 3)
+        if degree > 3:
+            high_degree.append(v)
+    if high_degree and cycle_rank(g):
         out.append(
             Violation(
                 "shape",
-                f"vertex {bad}",
+                f"vertex {min(high_degree)}",
                 "graph with a cycle has a vertex of degree > 3",
             )
         )

@@ -20,7 +20,6 @@ from plumbjsj.graph import (
     is_consistent,
     is_extreme,
     require_valid,
-    sign,
     vertex_unknot,
 )
 from plumbjsj.unknot import UnknotDescriptor
@@ -67,10 +66,23 @@ class RoundHandleDatum:
         assert self.lambda_minus.s_plus == 0
 
 
-@dataclass
 class TreeNode:
-    graph: PlumbingGraph
-    consistent: bool
+    """A reduction-tree node: its vertex set, whether the subgraph it induces
+    on the root is consistent, and that subgraph, built on first read."""
+
+    __slots__ = ("root", "vertex_set", "consistent", "_graph")
+
+    def __init__(self, root: PlumbingGraph, vertex_set: frozenset[int], consistent: bool):
+        self.root = root
+        self.vertex_set = vertex_set
+        self.consistent = consistent
+        self._graph = root if len(vertex_set) == len(root.vertices) else None
+
+    @property
+    def graph(self) -> PlumbingGraph:
+        if self._graph is None:
+            self._graph = self.root.induced_subgraph(self.vertex_set)
+        return self._graph
 
 
 @dataclass(frozen=True)
@@ -93,13 +105,58 @@ class ReductionTree:
         )
 
 
+class _Encoding:
+    """A valid root graph in the form every reduction check runs on.
+
+    Bit i of a node's mask stands for vertex ids[i] (ids ascending), so a
+    node is the subgraph its mask induces.  nbrs[i] lists (1 << j, j, edge
+    sign) per neighbour j, ascending: the format of _kernel.mask_consistent.
+    """
+
+    __slots__ = ("graph", "ids", "index", "signs", "nbrs", "non_extreme", "_deletions")
+
+    def __init__(self, g: PlumbingGraph):
+        ids, index, signs, extreme, edges = g.compact()
+        nbrs: list[list[tuple[int, int, int]]] = [[] for _ in ids]
+        for u, v, s in edges:
+            nbrs[u].append((1 << v, v, s))
+            nbrs[v].append((1 << u, u, s))
+        self.graph = g
+        self.ids = ids
+        self.index = index
+        self.signs = signs
+        self.nbrs = nbrs
+        self.non_extreme = sum(1 << i for i, x in enumerate(extreme) if not x)
+        self._deletions: list = [None] * len(ids)
+
+    @property
+    def full(self) -> int:
+        return (1 << len(self.ids)) - 1
+
+    def consistent(self, mask: int) -> bool:
+        return not mask & self.non_extreme and _kernel.mask_consistent(
+            mask, self.signs, self.nbrs
+        )
+
+    def datum(self, mask: int, v: int, rule) -> RoundHandleDatum:
+        """The datum of deleting vertex id v from the node mask."""
+        i = self.index[v]
+        known = self._deletions[i]
+        if known is None:
+            # Per vertex, once: its decoration, its unknot's split, and its
+            # edges as (low id, high id, sign), ascending like nbrs[i].
+            decoration = self.graph.vertices[v]
+            ids = self.ids
+            edges = [(bit, (min(v, ids[j]), max(v, ids[j]), s)) for bit, j, s in self.nbrs[i]]
+            known = self._deletions[i] = (decoration, *vertex_unknot(*decoration).split(), edges)
+        decoration, plus, minus, edges = known
+        nbr = tuple(e for bit, e in edges if mask & bit)
+        return RoundHandleDatum(v, decoration, rule, plus, minus, nbr)
+
+
 def non_extreme_vertices(g: PlumbingGraph) -> list[int]:
     """Ids of vertices whose secondary weight is not extreme, ascending."""
     require_valid(g)
-    return _non_extreme(g)
-
-
-def _non_extreme(g: PlumbingGraph) -> list[int]:
     return sorted(v for v, (b, r) in g.vertices.items() if not is_extreme(b, r))
 
 
@@ -113,16 +170,18 @@ def minimal_inconsistent_paths(g: PlumbingGraph) -> list[Path]:
     endpoint.
     """
     require_valid(g)
-    if _non_extreme(g):
+    enc = _Encoding(g)
+    if enc.non_extreme:
         raise ValueError("graph has non-extreme vertices; delete those first")
-    return _minimal_paths(g)
+    return _minimal_paths(enc, enc.full)
 
 
-def _minimal_paths(g: PlumbingGraph) -> list[Path]:
-    """minimal_inconsistent_paths on a valid, all-extreme graph, unchecked."""
-    adj = g.adjacency()
-    sgn = {v: sign(r) for v, (b, r) in g.vertices.items()}
-    found: dict[tuple[tuple[int, ...], bool], Path] = {}
+def _minimal_paths(enc: _Encoding, mask: int) -> list[Path]:
+    """minimal_inconsistent_paths on the all-extreme subgraph that mask
+    induces.  The search runs on bit indices; ids ascend with them, so every
+    comparison below orders the paths as it would on ids."""
+    signs, nbrs = enc.signs, enc.nbrs
+    found: dict[tuple[tuple[int, ...], bool], tuple[tuple[int, ...], bool, int]] = {}
 
     def record(vertices: tuple[int, ...], closed: bool, prod: int) -> None:
         if closed:
@@ -130,46 +189,48 @@ def _minimal_paths(g: PlumbingGraph) -> list[Path]:
             alt = (vertices[0],) + tuple(reversed(vertices[1:-1])) + (vertices[0],)
             vertices = min(vertices, alt)
         key = (min(vertices, tuple(reversed(vertices))), closed)
-        found.setdefault(key, Path(vertices, closed, prod))
+        found.setdefault(key, (vertices, closed, prod))
 
-    def extend(start: int, path: list[int], prod: int) -> None:
-        v = path[-1]
-        for w, s in adj[v]:
+    def extend(start: int, path: list[int], used: int, prod: int) -> None:
+        for bit, w, s in nbrs[path[-1]]:
+            if not mask & bit:
+                continue
             p = prod * s
             if w == start:
                 if len(path) >= 3 and p < 0:
                     record(tuple(path) + (start,), True, p)
                 continue
-            if w in path:
+            if used & bit:
                 continue
-            if sgn[w] != 0:
-                if w > start and sgn[start] * p * sgn[w] < 0:
+            if signs[w] != 0:
+                if w > start and signs[start] * p * signs[w] < 0:
                     record(tuple(path) + (w,), False, p)
                 continue
             path.append(w)
-            extend(start, path, p)
+            extend(start, path, used | bit, p)
             path.pop()
 
-    for start in sorted(v for v in g.vertices if sgn[v] != 0):
-        extend(start, [start], 1)
+    for start in range(mask.bit_length()):
+        if mask >> start & 1 and signs[start] != 0:
+            extend(start, [start], 1 << start, 1)
 
-    return sorted(found.values(), key=lambda p: (tuple(sorted(set(p.vertices))), p.vertices))
+    ids = enc.ids
+    return [
+        Path(tuple(ids[i] for i in vertices), closed, prod)
+        for vertices, closed, prod in sorted(
+            found.values(), key=lambda p: (tuple(sorted(set(p[0]))), p[0])
+        )
+    ]
 
 
-def _datum(g: PlumbingGraph, v: int, rule) -> RoundHandleDatum:
-    b, r = g.vertices[v]
-    lam_plus, lam_minus = vertex_unknot(b, r).split()
-    nbr = tuple(sorted((min(v, w), max(v, w), s) for w, s in g.adjacency()[v]))
-    return RoundHandleDatum(v, (b, r), rule, lam_plus, lam_minus, nbr)
-
-
-def _moves(g: PlumbingGraph, all_paths: bool) -> list[tuple[int, NonExtreme | PathBreak]]:
-    """(deleted vertex, rule) per child of a valid inconsistent graph; a vertex
-    is listed once, at its first position (a closed path names its base twice)."""
-    non_extreme = _non_extreme(g)
+def _moves(enc: _Encoding, mask: int, all_paths: bool) -> list[tuple[int, NonExtreme | PathBreak]]:
+    """(deleted vertex id, rule) per child of the inconsistent node mask; a
+    vertex is listed once, at its first position (a closed path names its
+    base twice)."""
+    non_extreme = mask & enc.non_extreme
     if non_extreme:
-        return [(non_extreme[0], NonExtreme())]
-    paths = _minimal_paths(g)
+        return [(enc.ids[(non_extreme & -non_extreme).bit_length() - 1], NonExtreme())]
+    paths = _minimal_paths(enc, mask)
     moves: dict[int, PathBreak] = {}
     for path in paths if all_paths else paths[:1]:
         for k, v in enumerate(path.vertices, start=1):
@@ -184,33 +245,43 @@ def reduction_children(g: PlumbingGraph) -> list[tuple[PlumbingGraph, RoundHandl
     inconsistent path, broken at every position."""
     if is_consistent(g):
         raise ValueError("consistent graph has no reduction children")
-    return [(g.delete_vertex(v), _datum(g, v, rule)) for v, rule in _moves(g, False)]
+    enc = _Encoding(g)
+    full = enc.full
+    return [(g.delete_vertex(v), enc.datum(full, v, rule)) for v, rule in _moves(enc, full, False)]
 
 
 def reduce_to_tree(g: PlumbingGraph, explore_all_paths: bool = False) -> ReductionTree:
     """Expand reduction children breadth-first until every leaf is consistent.
 
-    Nodes are deduplicated globally by vertex set, and a child's graph is
-    built only for a new set.  With explore_all_paths, every minimal
+    Nodes are deduplicated globally by vertex set.  The search runs on bit
+    masks over the root's compact encoding (the child of mask after deleting
+    vertex i is mask & ~(1 << i)) and builds no node graph: TreeNode.graph
+    builds one on first read.  With explore_all_paths, every minimal
     inconsistent path contributes children, not just the least.
     """
     require_valid(g)
     tree = ReductionTree(root=g)
     root_set = frozenset(g.vertices)
-    tree.nodes[root_set] = TreeNode(g, _consistent(g))
-    queue: deque[frozenset[int]] = deque([root_set])
+    consistent = _consistent(g)
+    tree.nodes[root_set] = TreeNode(g, root_set, consistent)
+    if consistent:
+        return tree
+    enc = _Encoding(g)
+    full = enc.full
+    sets = {full: root_set}
+    queue: deque[tuple[int, frozenset[int]]] = deque([(full, root_set)])
     while queue:
-        parent_set = queue.popleft()
-        node = tree.nodes[parent_set]
-        if node.consistent:
-            continue
-        for v, rule in _moves(node.graph, explore_all_paths):
-            child_set = parent_set - {v}
-            tree.edges.append(TreeEdge(parent_set, child_set, _datum(node.graph, v, rule)))
-            if child_set not in tree.nodes:
-                child = node.graph.delete_vertex(v)
-                tree.nodes[child_set] = TreeNode(child, _consistent(child))
-                queue.append(child_set)
+        mask, parent_set = queue.popleft()
+        for v, rule in _moves(enc, mask, explore_all_paths):
+            child = mask & ~(1 << enc.index[v])
+            child_set = sets.get(child)
+            if child_set is None:
+                child_set = sets[child] = parent_set - {v}
+                consistent = enc.consistent(child)
+                tree.nodes[child_set] = TreeNode(g, child_set, consistent)
+                if not consistent:
+                    queue.append((child, child_set))
+            tree.edges.append(TreeEdge(parent_set, child_set, enc.datum(mask, v, rule)))
     return tree
 
 

@@ -9,34 +9,45 @@ def _set_str(vertex_set) -> str:
     return "{" + ",".join(str(v) for v in sorted(vertex_set)) + "}"
 
 
-def _node_order(tree: ReductionTree) -> list[frozenset[int]]:
-    return sorted(tree.nodes, key=lambda s: (-len(s), tuple(sorted(s))))
+def _layout(tree: ReductionTree):
+    """(node order, each node's "{...}" label, each parent's out-edges sorted
+    by child).  Every node's label and sort key is formatted once."""
+    keys = {s: tuple(sorted(s)) for s in tree.nodes}
+    labels = {s: "{" + ",".join(map(str, key)) + "}" for s, key in keys.items()}
+    order = sorted(tree.nodes, key=lambda s: (-len(s), keys[s]))
+    return order, labels, _children_by_parent(tree, keys)
 
 
-def _children_by_parent(tree: ReductionTree) -> dict[frozenset[int], list[TreeEdge]]:
-    """Each parent's out-edges, sorted by child, in one pass over the edges."""
+def _children_by_parent(tree: ReductionTree, keys) -> dict[frozenset[int], list[TreeEdge]]:
+    """Each parent's out-edges, sorted by their child's key in keys, in one
+    pass over the edges."""
     out: dict[frozenset[int], list[TreeEdge]] = {}
     for edge in tree.edges:
         out.setdefault(edge.parent, []).append(edge)
     for edges in out.values():
-        edges.sort(key=lambda e: tuple(sorted(e.child)))
+        edges.sort(key=lambda e: keys[e.child])
     return out
 
 
 def render_report(tree: ReductionTree, oracle=None) -> str:
     """One block per node, then the leaves, then (optionally) the oracle's
     maximal consistent subgraphs.  Byte-identical across runs."""
-    children = _children_by_parent(tree)
+    order, labels, children = _layout(tree)
+    lambdas: dict[int, str] = {}
     lines = []
-    for vertex_set in _node_order(tree):
+    for vertex_set in order:
         node = tree.nodes[vertex_set]
         status = "consistent" if node.consistent else "inconsistent"
-        lines.append(f"node {_set_str(vertex_set)} status={status}")
+        lines.append(f"node {labels[vertex_set]} status={status}")
         for edge in children.get(vertex_set, ()):
             d = edge.datum
+            lam = lambdas.get(d.deleted_vertex)
+            if lam is None:
+                lam = lambdas[d.deleted_vertex] = (
+                    f"lambda+={d.lambda_plus} lambda-={d.lambda_minus}"
+                )
             lines.append(
-                f"  child {_set_str(edge.child)} delete={d.deleted_vertex}"
-                f" rule={d.rule} lambda+={d.lambda_plus} lambda-={d.lambda_minus}"
+                f"  child {labels[edge.child]} delete={d.deleted_vertex} rule={d.rule} {lam}"
             )
     lines.append("leaves:")
     for leaf in tree.leaves():
@@ -50,16 +61,13 @@ def render_report(tree: ReductionTree, oracle=None) -> str:
 
 def emit_dot(tree: ReductionTree) -> str:
     """Render the reduction tree in the DOT language, stable across runs."""
-    order = _node_order(tree)
+    order, labels, children = _layout(tree)
     ids = {vertex_set: f"n{i}" for i, vertex_set in enumerate(order)}
     lines = ["digraph reduction {"]
     for vertex_set in order:
         node = tree.nodes[vertex_set]
         status = "consistent" if node.consistent else "inconsistent"
-        lines.append(
-            f'  {ids[vertex_set]} [label="{_set_str(vertex_set)}\\n{status}"];'
-        )
-    children = _children_by_parent(tree)
+        lines.append(f'  {ids[vertex_set]} [label="{labels[vertex_set]}\\n{status}"];')
     for vertex_set in order:
         for edge in children.get(vertex_set, ()):
             rule = "non-extreme" if isinstance(edge.datum.rule, NonExtreme) else "path-break"

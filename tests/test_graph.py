@@ -4,6 +4,7 @@ from plumbjsj.graph import (
     GraphStructureError,
     Path,
     PlumbingGraph,
+    cycle_rank,
     decoration_valid,
     is_consistent,
     is_extreme,
@@ -88,6 +89,17 @@ class TestGraphStructure:
         with pytest.raises(GraphStructureError):
             PlumbingGraph({-1: (-2, 0)}, [])
 
+    @pytest.mark.parametrize("weights", [(-3.9, 1), (-3, 1.0), (True, 0), (-2, False), ("-2", 0)])
+    def test_weights_must_be_integers(self, weights):
+        # Converting would store (-3.9, 1) as (-3, 1), which then validates.
+        with pytest.raises(GraphStructureError, match=r"vertex 5 has weights"):
+            PlumbingGraph({5: weights}, [])
+
+    @pytest.mark.parametrize("s", [1.0, -1.0, True])
+    def test_sign_must_be_an_integer(self, s):
+        with pytest.raises(GraphStructureError, match=r"edge \(0,1\) has sign"):
+            PlumbingGraph({0: (-2, 0), 1: (-2, 0)}, [(0, 1, s)])
+
     def test_immutable(self):
         g = PlumbingGraph({0: (-2, 0)}, [])
         with pytest.raises(AttributeError):
@@ -165,6 +177,20 @@ class TestValidation:
             [(0, i, 1) for i in range(1, 5)],
         )
         assert validate_graph(star).is_valid
+
+    @pytest.mark.parametrize(
+        "edges, rank",
+        [
+            ([], 0),
+            ([(0, 1), (1, 2), (3, 4)], 0),
+            ([(0, 1), (1, 2), (2, 0)], 1),
+            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 2),
+            ([(0, 1), (1, 2), (2, 0), (0, 3), (3, 2)], 2),
+        ],
+    )
+    def test_cycle_rank(self, edges, rank):
+        g = PlumbingGraph({v: (-4, 0) for v in range(6)}, [(u, v, 1) for u, v in edges])
+        assert cycle_rank(g) == rank
 
 
 class TestPath:

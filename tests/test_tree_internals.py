@@ -12,7 +12,7 @@ from plumbjsj.reduction import (
     reduce_to_tree,
     reduction_children,
 )
-from plumbjsj.report import _children_by_parent
+from plumbjsj.report import _layout
 
 ENTRY_POINTS = (
     reduce_to_tree,
@@ -46,7 +46,7 @@ def big_tree(big_graph):
 
 
 def test_grouping_matches_naive_scan(big_tree):
-    grouped = _children_by_parent(big_tree)
+    grouped = _layout(big_tree)[2]
     for vertex_set in big_tree.nodes:
         naive = sorted(
             (e for e in big_tree.edges if e.parent == vertex_set),
@@ -69,6 +69,26 @@ def test_tree_edges_match_reduction_children(big_graph):
         ]
         for child, _ in children:
             assert tree.nodes[frozenset(child.vertices)].graph == child
+
+
+def test_node_graphs_are_built_on_first_read(big_graph, monkeypatch):
+    calls = []
+    original = PlumbingGraph.induced_subgraph
+
+    def counting(g, keep):
+        calls.append(keep)
+        return original(g, keep)
+
+    monkeypatch.setattr(PlumbingGraph, "induced_subgraph", counting)
+    tree = reduce_to_tree(big_graph, explore_all_paths=True)
+    assert calls == []
+    assert tree.nodes[frozenset(big_graph.vertices)].graph is big_graph
+    vertex_set, node = list(tree.nodes.items())[-1]
+    first = node.graph
+    assert len(calls) == 1
+    assert first == original(big_graph, vertex_set)
+    assert node.graph is first
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
