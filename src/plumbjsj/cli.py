@@ -92,8 +92,10 @@ def _cmd_consistent(args, out) -> int:
 
 def _cmd_reduce(args, out) -> int:
     g = _load(args.file)
-    tree = reduction.reduce_to_tree(g, explore_all_paths=args.all_paths)
+    # The oracle first: it refuses an over-size graph at once, before the
+    # tree (which can be exponential too) is built.
     oracle = reduction.maximal_consistent_subgraphs(g) if args.oracle else None
+    tree = reduction.reduce_to_tree(g, explore_all_paths=args.all_paths)
     text = report.render_report(tree, oracle=oracle)
     out.write(text)
     if args.dot:

@@ -40,6 +40,9 @@ class NonExtreme:
         return "non-extreme"
 
 
+_NON_EXTREME = NonExtreme()
+
+
 @dataclass(frozen=True)
 class PathBreak:
     """Deletion rule: vertex k (1-based) of a minimal inconsistent path."""
@@ -111,9 +114,14 @@ class _Encoding:
     Bit i of a node's mask stands for vertex ids[i] (ids ascending), so a
     node is the subgraph its mask induces.  nbrs[i] lists (1 << j, j, edge
     sign) per neighbour j, ascending: the format of _kernel.mask_consistent.
+    An encoding lives for one public call, and so do the path list and the
+    data it keeps.
     """
 
-    __slots__ = ("graph", "ids", "index", "signs", "nbrs", "non_extreme", "_deletions")
+    __slots__ = (
+        "graph", "ids", "index", "signs", "nbrs", "non_extreme",
+        "_deletions", "_paths", "_data",
+    )
 
     def __init__(self, g: PlumbingGraph):
         ids, index, signs, extreme, edges = g.compact()
@@ -128,6 +136,8 @@ class _Encoding:
         self.nbrs = nbrs
         self.non_extreme = sum(1 << i for i, x in enumerate(extreme) if not x)
         self._deletions: list = [None] * len(ids)
+        self._paths: list | None = None
+        self._data: dict[tuple[int, int, int], RoundHandleDatum] = {}
 
     @property
     def full(self) -> int:
@@ -138,20 +148,54 @@ class _Encoding:
             mask, self.signs, self.nbrs
         )
 
+    def paths(self, mask: int) -> list[tuple[int, Path, tuple[tuple[int, PathBreak], ...]]]:
+        """(vertex mask, path, its breaks) per minimal inconsistent path of
+        the all-extreme node mask, in _minimal_paths order.
+
+        A node induces a subgraph of the root with the same signs and edges,
+        so its minimal inconsistent paths are exactly the root's whose
+        vertices it keeps: the paths are enumerated once, on the root's
+        extreme vertices (every all-extreme node lies among them), and
+        filtered per node.  A path's breaks list each vertex once, at its
+        first position (a closed path names its base twice).
+        """
+        if self._paths is None:
+            index = self.index
+            self._paths = []
+            for path in _minimal_paths(self, self.full & ~self.non_extreme):
+                breaks: dict[int, PathBreak] = {}
+                for k, v in enumerate(path.vertices, start=1):
+                    if v not in breaks:
+                        breaks[v] = PathBreak(path, k)
+                bits = sum(1 << index[v] for v in breaks)
+                self._paths.append((bits, path, tuple(breaks.items())))
+        return [entry for entry in self._paths if entry[0] & mask == entry[0]]
+
     def datum(self, mask: int, v: int, rule) -> RoundHandleDatum:
-        """The datum of deleting vertex id v from the node mask."""
+        """The datum of deleting vertex id v from the node mask: one object
+        per (vertex, rule object, surviving neighbours)."""
         i = self.index[v]
         known = self._deletions[i]
         if known is None:
-            # Per vertex, once: its decoration, its unknot's split, and its
-            # edges as (low id, high id, sign), ascending like nbrs[i].
+            # Per vertex, once: its decoration, its unknot's split, its
+            # edges as (low id, high id, sign), ascending like nbrs[i], and
+            # the mask of its neighbours.
             decoration = self.graph.vertices[v]
             ids = self.ids
             edges = [(bit, (min(v, ids[j]), max(v, ids[j]), s)) for bit, j, s in self.nbrs[i]]
-            known = self._deletions[i] = (decoration, *vertex_unknot(*decoration).split(), edges)
-        decoration, plus, minus, edges = known
-        nbr = tuple(e for bit, e in edges if mask & bit)
-        return RoundHandleDatum(v, decoration, rule, plus, minus, nbr)
+            known = self._deletions[i] = (
+                decoration, *vertex_unknot(*decoration).split(), edges,
+                sum(bit for bit, _ in edges),
+            )
+        decoration, plus, minus, edges, nbr_bits = known
+        # Keyed by the rule's identity: rules are made once per encoding, and
+        # the cached datum holds its rule, so no key's id can be reused.
+        key = (i, id(rule), mask & nbr_bits)
+        d = self._data.get(key)
+        if d is None:
+            nbr = tuple(e for bit, e in edges if mask & bit)
+            d = self._data[key] = RoundHandleDatum(v, decoration, rule, plus, minus, nbr)
+        return d
 
 
 def non_extreme_vertices(g: PlumbingGraph) -> list[int]:
@@ -173,7 +217,7 @@ def minimal_inconsistent_paths(g: PlumbingGraph) -> list[Path]:
     enc = _Encoding(g)
     if enc.non_extreme:
         raise ValueError("graph has non-extreme vertices; delete those first")
-    return _minimal_paths(enc, enc.full)
+    return [path for _, path, _ in enc.paths(enc.full)]
 
 
 def _minimal_paths(enc: _Encoding, mask: int) -> list[Path]:
@@ -223,20 +267,24 @@ def _minimal_paths(enc: _Encoding, mask: int) -> list[Path]:
     ]
 
 
-def _moves(enc: _Encoding, mask: int, all_paths: bool) -> list[tuple[int, NonExtreme | PathBreak]]:
-    """(deleted vertex id, rule) per child of the inconsistent node mask; a
-    vertex is listed once, at its first position (a closed path names its
-    base twice)."""
+def _moves(
+    enc: _Encoding, mask: int, all_paths: bool
+) -> tuple[tuple[int, NonExtreme | PathBreak], ...]:
+    """(deleted vertex id, rule) per child of the inconsistent node mask:
+    the least non-extreme vertex, else the breaks of the least minimal
+    inconsistent path, or with all_paths of every one (a vertex listed
+    once, at its first break)."""
     non_extreme = mask & enc.non_extreme
     if non_extreme:
-        return [(enc.ids[(non_extreme & -non_extreme).bit_length() - 1], NonExtreme())]
-    paths = _minimal_paths(enc, mask)
+        return ((enc.ids[(non_extreme & -non_extreme).bit_length() - 1], _NON_EXTREME),)
+    paths = enc.paths(mask)
+    if not all_paths:
+        return paths[0][2] if paths else ()
     moves: dict[int, PathBreak] = {}
-    for path in paths if all_paths else paths[:1]:
-        for k, v in enumerate(path.vertices, start=1):
-            if v not in moves:
-                moves[v] = PathBreak(path, k)
-    return list(moves.items())
+    for _, _, breaks in paths:
+        for v, rule in breaks:
+            moves.setdefault(v, rule)
+    return tuple(moves.items())
 
 
 def reduction_children(g: PlumbingGraph) -> list[tuple[PlumbingGraph, RoundHandleDatum]]:
@@ -256,8 +304,11 @@ def reduce_to_tree(g: PlumbingGraph, explore_all_paths: bool = False) -> Reducti
     Nodes are deduplicated globally by vertex set.  The search runs on bit
     masks over the root's compact encoding (the child of mask after deleting
     vertex i is mask & ~(1 << i)) and builds no node graph: TreeNode.graph
-    builds one on first read.  With explore_all_paths, every minimal
-    inconsistent path contributes children, not just the least.
+    builds one on first read.  The minimal inconsistent paths are enumerated
+    once and filtered per node (_Encoding.paths), and edges that delete the
+    same vertex by the same rule beside the same neighbours share one datum.
+    With explore_all_paths, every minimal inconsistent path contributes
+    children, not just the least.
     """
     require_valid(g)
     tree = ReductionTree(root=g)

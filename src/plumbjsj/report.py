@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from plumbjsj.reduction import NonExtreme, ReductionTree, TreeEdge
 
 
@@ -15,17 +17,19 @@ def _layout(tree: ReductionTree):
     keys = {s: tuple(sorted(s)) for s in tree.nodes}
     labels = {s: "{" + ",".join(map(str, key)) + "}" for s, key in keys.items()}
     order = sorted(tree.nodes, key=lambda s: (-len(s), keys[s]))
-    return order, labels, _children_by_parent(tree, keys)
+    return order, labels, _children_by_parent(tree)
 
 
-def _children_by_parent(tree: ReductionTree, keys) -> dict[frozenset[int], list[TreeEdge]]:
-    """Each parent's out-edges, sorted by their child's key in keys, in one
-    pass over the edges."""
+def _children_by_parent(tree: ReductionTree) -> dict[frozenset[int], list[TreeEdge]]:
+    """Each parent's out-edges, sorted by their child's sorted tuple, in one
+    pass over the edges.  A parent's children all drop one vertex from it,
+    so a child sorts before another exactly when its deleted vertex is the
+    larger: sorting by deleted vertex, descending, gives the same order."""
     out: dict[frozenset[int], list[TreeEdge]] = {}
     for edge in tree.edges:
         out.setdefault(edge.parent, []).append(edge)
     for edges in out.values():
-        edges.sort(key=lambda e: keys[e.child])
+        edges.sort(key=attrgetter("datum.deleted_vertex"), reverse=True)
     return out
 
 
@@ -33,7 +37,9 @@ def render_report(tree: ReductionTree, oracle=None) -> str:
     """One block per node, then the leaves, then (optionally) the oracle's
     maximal consistent subgraphs.  Byte-identical across runs."""
     order, labels, children = _layout(tree)
-    lambdas: dict[int, str] = {}
+    # Edges share data (see reduce_to_tree), so each distinct datum's text
+    # is formatted once, keyed by identity: the tree keeps every datum alive.
+    texts: dict[int, str] = {}
     lines = []
     for vertex_set in order:
         node = tree.nodes[vertex_set]
@@ -41,14 +47,13 @@ def render_report(tree: ReductionTree, oracle=None) -> str:
         lines.append(f"node {labels[vertex_set]} status={status}")
         for edge in children.get(vertex_set, ()):
             d = edge.datum
-            lam = lambdas.get(d.deleted_vertex)
-            if lam is None:
-                lam = lambdas[d.deleted_vertex] = (
-                    f"lambda+={d.lambda_plus} lambda-={d.lambda_minus}"
+            text = texts.get(id(d))
+            if text is None:
+                text = texts[id(d)] = (
+                    f" delete={d.deleted_vertex} rule={d.rule}"
+                    f" lambda+={d.lambda_plus} lambda-={d.lambda_minus}"
                 )
-            lines.append(
-                f"  child {labels[edge.child]} delete={d.deleted_vertex} rule={d.rule} {lam}"
-            )
+            lines.append(f"  child {labels[edge.child]}{text}")
     lines.append("leaves:")
     for leaf in tree.leaves():
         lines.append(f"  {_set_str(leaf)}")

@@ -2,8 +2,12 @@ from pathlib import Path
 
 import pytest
 
+from test_tree_internals import signed_path
+
+from plumbjsj import reduction
 from plumbjsj.arith import MonodromyWord, monodromy_matrix
 from plumbjsj.cli import run_command
+from plumbjsj.graphfile import write_graph_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,6 +73,21 @@ class TestReduce:
         status, out = run_command(["reduce", fixture("chain4.txt"), "--all-paths"])
         assert status == 0
         assert "leaves:" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--all-paths"]])
+    def test_oversize_oracle_refused_before_reducing(self, flags, tmp_path, monkeypatch, capsys):
+        # A 23-vertex path: its --all-paths tree takes minutes, the oracle
+        # refuses it outright.
+        path = tmp_path / "path23.txt"
+        path.write_text(write_graph_file(signed_path(("+-0" * 8)[:23])))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduce_to_tree called before the oracle's size check")
+
+        monkeypatch.setattr(reduction, "reduce_to_tree", refuse)
+        status, out = run_command(["reduce", str(path), "--oracle", *flags])
+        assert (status, out) == (1, "")
+        assert "subset enumeration limited to 22 vertices, got 23" in capsys.readouterr().err
 
 
 class TestSubgraphs:

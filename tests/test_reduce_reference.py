@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import brute_reduce
 from test_properties import valid_graphs
-from test_tree_internals import signed_path
+from test_tree_internals import assert_paths_filter_exactly, signed_path
 
 from plumbjsj import reduction
 from plumbjsj.graph import PlumbingGraph
@@ -96,6 +96,7 @@ def test_random_trees_match_reference(g, all_paths):
 def test_theta_trees_match_reference(g, all_paths):
     assert_same_tree(g, all_paths)
     assert_same_moves(g)
+    assert_paths_filter_exactly(g, all_paths)
 
 
 @given(valid_graphs())

@@ -1,10 +1,14 @@
 """The reduction tree's internals on a tree of more than a thousand nodes,
 and validation at each public entry point."""
 
+from pathlib import Path
+
 import pytest
 
-from plumbjsj import graph
+import brute_reduce
+from plumbjsj import graph, reduction
 from plumbjsj.graph import PlumbingGraph, is_consistent
+from plumbjsj.graphfile import parse_graph_file
 from plumbjsj.reduction import (
     maximal_consistent_subgraphs,
     minimal_inconsistent_paths,
@@ -43,6 +47,66 @@ def big_tree(big_graph):
     tree = reduce_to_tree(big_graph, explore_all_paths=True)
     assert len(tree.nodes) >= 1000
     return tree
+
+
+def assert_paths_filter_exactly(g, all_paths):
+    """On every all-extreme node of g's tree, the root's path list filtered
+    by the node's mask equals a fresh search on that mask; each entry's mask
+    is the set of its path's vertices, and its breaks name each vertex once,
+    at its first position."""
+    tree = reduce_to_tree(g, explore_all_paths=all_paths)
+    enc = reduction._Encoding(g)
+    for vertex_set in tree.nodes:
+        mask = sum(1 << enc.index[v] for v in vertex_set)
+        if mask & enc.non_extreme:
+            continue
+        entries = enc.paths(mask)
+        assert [path for _, path, _ in entries] == reduction._minimal_paths(enc, mask)
+        for bits, path, breaks in entries:
+            assert bits == sum(1 << enc.index[v] for v in set(path.vertices))
+            assert breaks == tuple(
+                (v, reduction.PathBreak(path, path.vertices.index(v) + 1))
+                for v in dict.fromkeys(path.vertices)
+            )
+
+
+def test_filtered_paths_match_fresh_search(big_graph):
+    assert_paths_filter_exactly(big_graph, True)
+
+
+def test_filtered_paths_match_fresh_search_on_a_cycle():
+    fixture = Path(__file__).parent / "fixtures" / "cycle3.txt"
+    g = parse_graph_file(fixture.read_text())
+    assert any(p.closed for p in reduction.minimal_inconsistent_paths(g))
+    for all_paths in (False, True):
+        assert_paths_filter_exactly(g, all_paths)
+
+
+@pytest.mark.parametrize("all_paths", [False, True])
+def test_paths_are_enumerated_once_per_tree(big_graph, all_paths, monkeypatch):
+    calls = []
+    original = reduction._minimal_paths
+
+    def counting(enc, mask):
+        calls.append(mask)
+        return original(enc, mask)
+
+    monkeypatch.setattr(reduction, "_minimal_paths", counting)
+    tree = reduce_to_tree(big_graph, explore_all_paths=all_paths)
+    assert len(tree.nodes) > 1 and len(calls) == 1
+
+
+def test_edges_share_data(big_tree):
+    data = [edge.datum for edge in big_tree.edges]
+    distinct = {id(d): d for d in data}
+    # One object per distinct value, and far fewer than the edges (26 data
+    # for 4,232 edges).
+    assert len(distinct) == len(set(data))
+    assert len(distinct) * 100 < len(data)
+    for edge in big_tree.edges:
+        d = edge.datum
+        parent = big_tree.nodes[edge.parent].graph
+        assert d == brute_reduce._datum(parent, d.deleted_vertex, d.rule)
 
 
 def test_grouping_matches_naive_scan(big_tree):
