@@ -4,11 +4,10 @@ Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
 The workloads mirror the acceptance sweeps: many tiny consistency checks over
 mixed sign patterns, the brute-force path enumerator on dense cases, and the
-maximal-consistent-subset oracle on mid-size graphs.  Sign propagation and
-path enumeration are timed in the pure-Python backend and, when it is built,
-the compiled one.  The oracle row times the library's oracle,
-``_kernel.maximal_consistent_masks``, which is the pure component-split
-routine under every backend.
+maximal-consistent-subset oracle on mid-size graphs.  Each row times the
+library's routine: ``_kernel.propagation_consistent``,
+``_kernel.paths_consistent`` and the component-split oracle
+``_kernel.maximal_consistent_masks``.
 
 The arith rows mirror the benchmark's arith_roundtrip workload:
 ``factor_monodromy`` at the CLI defaults on words of 2-5 exponents with
@@ -29,13 +28,7 @@ import time
 from math import gcd
 
 from plumbjsj import _kernel, arith, diagram, reduction, report
-from plumbjsj._kernel import pure
 from plumbjsj.graph import PlumbingGraph
-
-try:
-    from plumbjsj._kernel import _speedups
-except ImportError:
-    _speedups = None
 
 
 def make_instances(rng, count, n_range, edge_prob):
@@ -71,22 +64,24 @@ def time_call(fn, instances, repeats):
     return best_of(run, repeats)
 
 
-# Kernels with a pure and a compiled twin: (label, pick, instance parameters).
-TWIN_WORKLOADS = [
+# (label, routine, instance parameters) per kernel row.
+KERNEL_WORKLOADS = [
     (
         "propagation_consistent (20k graphs, n<=8)",
-        lambda m: (lambda n, s, x, e: m.propagation_consistent(n, s, e)),
+        lambda n, s, x, e: _kernel.propagation_consistent(n, s, e),
         dict(count=20000, n_range=(2, 8), edge_prob=0.35),
     ),
     (
         "paths_consistent (5k graphs, n<=8)",
-        lambda m: (lambda n, s, x, e: m.paths_consistent(n, s, e)),
+        lambda n, s, x, e: _kernel.paths_consistent(n, s, e),
         dict(count=5000, n_range=(2, 8), edge_prob=0.45),
     ),
+    (
+        "maximal_consistent_masks (200 graphs, n<=14)",
+        _kernel.maximal_consistent_masks,
+        dict(count=200, n_range=(8, 14), edge_prob=0.25),
+    ),
 ]
-
-ORACLE_LABEL = "maximal_consistent_masks (200 graphs, n<=14)"
-ORACLE_PARAMS = dict(count=200, n_range=(8, 14), edge_prob=0.25)
 
 
 ARITH_WORDS_LABEL = "factor_monodromy (400 words, 2-5 exponents)"
@@ -136,21 +131,9 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    if _speedups is None:
-        print("compiled kernel not built; timing the pure backend only")
-
-    for label, pick, params in TWIN_WORKLOADS:
+    for label, fn, params in KERNEL_WORKLOADS:
         instances = make_instances(random.Random(7), **params)
-        t_pure = time_call(pick(pure), instances, args.repeats)
-        line = f"{label:46s} pure {t_pure * 1e3:8.1f} ms"
-        if _speedups is not None:
-            t_fast = time_call(pick(_speedups), instances, args.repeats)
-            line += f"   compiled {t_fast * 1e3:8.1f} ms   speedup {t_pure / t_fast:5.1f}x"
-        print(line)
-
-    instances = make_instances(random.Random(7), **ORACLE_PARAMS)
-    t_oracle = time_call(_kernel.maximal_consistent_masks, instances, args.repeats)
-    print(f"{ORACLE_LABEL:46s} library {t_oracle * 1e3:8.1f} ms")
+        print(f"{label:46s} library {time_call(fn, instances, args.repeats) * 1e3:8.1f} ms")
 
     g = signed_path("+-0+-0+-0+-0")
     tree = reduction.reduce_to_tree(g, explore_all_paths=True)

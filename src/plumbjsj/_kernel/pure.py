@@ -1,8 +1,7 @@
 """Pure-Python kernels for sign propagation, path-product checking and the
 maximal consistent subset oracle.
 
-The first two are the interpreted twins of the compiled routines in
-``_speedups``; all three operate on a compact encoding of a decorated graph:
+All three operate on a compact encoding of a decorated graph:
 
     n       -- number of vertices, labelled 0..n-1
     signs   -- per-vertex sign of the secondary weight, each -1, 0 or +1

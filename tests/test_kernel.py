@@ -1,18 +1,10 @@
-"""Backend-agreement and dual-route checks on the low-level kernels."""
+"""Dual-route and hand-instance checks on the low-level kernels."""
 
 import random
 
-import pytest
-
+import plumbjsj
 from plumbjsj import _kernel
 from plumbjsj._kernel import pure
-
-try:
-    from plumbjsj._kernel import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [pure] if _speedups is None else [pure, _speedups]
 
 
 def random_instance(rng, n):
@@ -28,67 +20,57 @@ def random_instance(rng, n):
 
 
 def test_backend_selected():
-    assert _kernel.BACKEND in ("compiled", "pure")
+    assert plumbjsj.KERNEL_BACKEND == _kernel.BACKEND == "pure"
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled backend unavailable")
-def test_backends_agree_on_random_instances():
-    rng = random.Random(20240817)
-    for _ in range(400):
-        n = rng.randint(1, 8)
-        signs, extreme, edges = random_instance(rng, n)
-        assert pure.propagation_consistent(n, signs, edges) == \
-            _speedups.propagation_consistent(n, signs, edges)
-        assert pure.paths_consistent(n, signs, edges) == \
-            _speedups.paths_consistent(n, signs, edges)
-        assert sorted(pure.maximal_consistent_masks(n, extreme, signs, edges)) == \
-            sorted(_speedups.maximal_consistent_masks(n, extreme, signs, edges))
+def test_kernel_exports_are_the_pure_routines():
+    for name in _kernel.__all__:
+        if name not in ("BACKEND", "pure"):
+            assert getattr(_kernel, name) is getattr(pure, name), name
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_dual_routes_agree(impl):
+def test_dual_routes_agree():
     rng = random.Random(99)
     for _ in range(600):
         n = rng.randint(1, 7)
         signs, _, edges = random_instance(rng, n)
-        assert impl.propagation_consistent(n, signs, edges) == \
-            impl.paths_consistent(n, signs, edges)
+        assert pure.propagation_consistent(n, signs, edges) == \
+            pure.paths_consistent(n, signs, edges)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 class TestHandCases:
-    def test_opposed_pair(self, impl):
-        assert not impl.propagation_consistent(2, [1, -1], [(0, 1, 1)])
-        assert not impl.paths_consistent(2, [1, -1], [(0, 1, 1)])
-        assert impl.propagation_consistent(2, [1, -1], [(0, 1, -1)])
+    def test_opposed_pair(self):
+        assert not pure.propagation_consistent(2, [1, -1], [(0, 1, 1)])
+        assert not pure.paths_consistent(2, [1, -1], [(0, 1, 1)])
+        assert pure.propagation_consistent(2, [1, -1], [(0, 1, -1)])
 
-    def test_unsigned_vertices_never_obstruct(self, impl):
-        assert impl.propagation_consistent(3, [0, 0, 0], [(0, 1, -1), (1, 2, -1)])
-        assert impl.paths_consistent(3, [0, 0, 0], [(0, 1, -1), (1, 2, -1)])
+    def test_unsigned_vertices_never_obstruct(self):
+        assert pure.propagation_consistent(3, [0, 0, 0], [(0, 1, -1), (1, 2, -1)])
+        assert pure.paths_consistent(3, [0, 0, 0], [(0, 1, -1), (1, 2, -1)])
 
-    def test_negative_cycle_at_signed_base(self, impl):
+    def test_negative_cycle_at_signed_base(self):
         edges = [(0, 1, 1), (1, 2, 1), (2, 0, -1)]
-        assert not impl.propagation_consistent(3, [1, 0, 0], edges)
-        assert not impl.paths_consistent(3, [1, 0, 0], edges)
+        assert not pure.propagation_consistent(3, [1, 0, 0], edges)
+        assert not pure.paths_consistent(3, [1, 0, 0], edges)
         # The same cycle with no signed vertex raises no objection.
-        assert impl.paths_consistent(3, [0, 0, 0], edges)
+        assert pure.paths_consistent(3, [0, 0, 0], edges)
 
-    def test_two_edge_closed_walk_is_not_a_path(self, impl):
+    def test_two_edge_closed_walk_is_not_a_path(self):
         # Going out and back over one edge never counts as a closed path.
-        assert impl.paths_consistent(2, [1, 0], [(0, 1, -1)])
+        assert pure.paths_consistent(2, [1, 0], [(0, 1, -1)])
 
-    def test_maximal_masks_three_chain(self, impl):
+    def test_maximal_masks_three_chain(self):
         masks = sorted(
-            impl.maximal_consistent_masks(
+            pure.maximal_consistent_masks(
                 3, [1, 1, 1], [-1, 0, 1], [(0, 1, 1), (1, 2, 1)]
             )
         )
         assert masks == [0b011, 0b101, 0b110]
 
-    def test_maximal_masks_consistent_graph(self, impl):
-        masks = impl.maximal_consistent_masks(2, [1, 1], [1, 1], [(0, 1, 1)])
+    def test_maximal_masks_consistent_graph(self):
+        masks = pure.maximal_consistent_masks(2, [1, 1], [1, 1], [(0, 1, 1)])
         assert masks == [0b11]
 
-    def test_maximal_masks_non_extreme_vertex_excluded(self, impl):
-        masks = sorted(impl.maximal_consistent_masks(2, [0, 1], [0, 1], [(0, 1, 1)]))
+    def test_maximal_masks_non_extreme_vertex_excluded(self):
+        masks = sorted(pure.maximal_consistent_masks(2, [0, 1], [0, 1], [(0, 1, 1)]))
         assert masks == [0b10]
