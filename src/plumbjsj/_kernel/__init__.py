@@ -15,13 +15,11 @@ BACKEND = "pure"
 propagation_consistent = pure.propagation_consistent
 paths_consistent = pure.paths_consistent
 maximal_consistent_masks = pure.maximal_consistent_masks
-mask_consistent = pure.mask_consistent
 
 __all__ = [
     "BACKEND",
     "propagation_consistent",
     "paths_consistent",
     "maximal_consistent_masks",
-    "mask_consistent",
     "pure",
 ]

@@ -14,14 +14,19 @@ a signed vertex) is non-negative -- the first by spreading a tentative sign
 over each component, the second by brute-force path enumeration.  They are
 kept as two genuinely independent routes on purpose.
 
+Both decide that property when every unsigned vertex has degree at most 2,
+as on every all-extreme valid graph (an unsigned extreme vertex has b = -2,
+so goodness caps its degree at 2): a negative cycle in a component with a
+signed vertex then passes through one.  Outside that domain only
+``paths_consistent`` follows the definition, since propagation also rejects
+a negative cycle that a signed vertex reaches without lying on it.  For a
+signed pendant vertex 0 on the unsigned junction 1 (b = -4, r = 0) of the
+negative triangle 1-2-3, propagation says False and paths says True.
+
 ``maximal_consistent_masks`` splits the extreme vertices' subgraph into
 connected components and scans each inconsistent component's subsets alone,
 instead of all 2^n subsets of the graph.  The exhaustive 2^n scan it replaces
 is kept as the reference in ``tests/brute_oracle.py``.
-
-``mask_consistent`` is the check the oracle makes on each subset, applied to
-the subgraph that a bitmask induces on a whole graph; the reduction tree
-keys its nodes by such masks.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ def paths_consistent(n: int, signs: Sequence[int], edges: Iterable[Edge]) -> boo
     simple closed paths based at a signed vertex.
 
     Paths with an unsigned endpoint have product zero and are skipped; that is
-    the only pruning applied.
+    the only pruning applied.  The search recurses once per path vertex, so a
+    path longer than Python's recursion limit (``sys.getrecursionlimit()``,
+    1,000 frames by default, less the caller's) raises ``RecursionError``.
     """
     adj = _adjacency(n, edges)
     visited = [False] * n
@@ -170,19 +177,6 @@ def _component_maximal(
         if ok[mask] and not any(ok[mask | b] for b in bits if not mask & b):
             out.append(sum(1 << comp[i] for i in range(k) if mask >> i & 1))
     return out
-
-
-def mask_consistent(mask: int, signs: Sequence[int], nbrs) -> bool:
-    """Whether the subgraph induced by ``mask`` is consistent, given
-    ``nbrs[v]`` as (1 << w, w, edge sign) per neighbour w of v: each of its
-    components is checked by ``_consistent_around``, on one shared potential.
-    Extreme decorations are the caller's to check, as in
-    ``propagation_consistent``."""
-    z = [0] * len(signs)
-    for h in range(mask.bit_length()):
-        if mask >> h & 1 and not z[h] and not _consistent_around(mask, h, signs, nbrs, z):
-            return False
-    return True
 
 
 def _consistent_around(mask: int, h: int, signs: Sequence[int], nbrs, z: list[int]) -> bool:

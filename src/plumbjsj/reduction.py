@@ -113,9 +113,8 @@ class _Encoding:
 
     Bit i of a node's mask stands for vertex ids[i] (ids ascending), so a
     node is the subgraph its mask induces.  nbrs[i] lists (1 << j, j, edge
-    sign) per neighbour j, ascending: the format of _kernel.mask_consistent.
-    An encoding lives for one public call, and so do the path list and the
-    data it keeps.
+    sign) per neighbour j, ascending.  An encoding lives for one public
+    call, and so do the path list and the data it keeps.
     """
 
     __slots__ = (
@@ -143,21 +142,16 @@ class _Encoding:
     def full(self) -> int:
         return (1 << len(self.ids)) - 1
 
-    def consistent(self, mask: int) -> bool:
-        return not mask & self.non_extreme and _kernel.mask_consistent(
-            mask, self.signs, self.nbrs
-        )
-
-    def paths(self, mask: int) -> list[tuple[int, Path, tuple[tuple[int, PathBreak], ...]]]:
+    @property
+    def paths(self) -> list[tuple[int, Path, tuple[tuple[int, PathBreak], ...]]]:
         """(vertex mask, path, its breaks) per minimal inconsistent path of
-        the all-extreme node mask, in _minimal_paths order.
+        the root's extreme vertices, in _minimal_paths order.
 
         A node induces a subgraph of the root with the same signs and edges,
-        so its minimal inconsistent paths are exactly the root's whose
-        vertices it keeps: the paths are enumerated once, on the root's
-        extreme vertices (every all-extreme node lies among them), and
-        filtered per node.  A path's breaks list each vertex once, at its
-        first position (a closed path names its base twice).
+        so the minimal inconsistent paths of an all-extreme node are exactly
+        the root's whose vertices it keeps (reduce_to_tree carries each
+        node's share).  A path's breaks list each vertex once, at its first
+        position (a closed path names its base twice).
         """
         if self._paths is None:
             index = self.index
@@ -169,7 +163,7 @@ class _Encoding:
                         breaks[v] = PathBreak(path, k)
                 bits = sum(1 << index[v] for v in breaks)
                 self._paths.append((bits, path, tuple(breaks.items())))
-        return [entry for entry in self._paths if entry[0] & mask == entry[0]]
+        return self._paths
 
     def datum(self, mask: int, v: int, rule) -> RoundHandleDatum:
         """The datum of deleting vertex id v from the node mask: one object
@@ -217,7 +211,7 @@ def minimal_inconsistent_paths(g: PlumbingGraph) -> list[Path]:
     enc = _Encoding(g)
     if enc.non_extreme:
         raise ValueError("graph has non-extreme vertices; delete those first")
-    return [path for _, path, _ in enc.paths(enc.full)]
+    return [path for _, path, _ in enc.paths]
 
 
 def _minimal_paths(enc: _Encoding, mask: int) -> list[Path]:
@@ -235,28 +229,36 @@ def _minimal_paths(enc: _Encoding, mask: int) -> list[Path]:
         key = (min(vertices, tuple(reversed(vertices))), closed)
         found.setdefault(key, (vertices, closed, prod))
 
-    def extend(start: int, path: list[int], used: int, prod: int) -> None:
-        for bit, w, s in nbrs[path[-1]]:
-            if not mask & bit:
-                continue
-            p = prod * s
-            if w == start:
-                if len(path) >= 3 and p < 0:
-                    record(tuple(path) + (start,), True, p)
-                continue
-            if used & bit:
-                continue
-            if signs[w] != 0:
-                if w > start and signs[start] * p * signs[w] < 0:
-                    record(tuple(path) + (w,), False, p)
-                continue
-            path.append(w)
-            extend(start, path, used | bit, p)
-            path.pop()
-
     for start in range(mask.bit_length()):
-        if mask >> start & 1 and signs[start] != 0:
-            extend(start, [start], 1 << start, 1)
+        if not (mask >> start & 1 and signs[start]):
+            continue
+        # Depth first on an explicit stack, one (neighbour scan, product) per
+        # path vertex: a chain may outrun Python's recursion limit.
+        path, used = [start], 1 << start
+        stack = [(iter(nbrs[start]), 1)]
+        while stack:
+            scan, prod = stack[-1]
+            for bit, w, s in scan:
+                if not mask & bit:
+                    continue
+                p = prod * s
+                if w == start:
+                    if len(path) >= 3 and p < 0:
+                        record(tuple(path) + (start,), True, p)
+                    continue
+                if used & bit:
+                    continue
+                if signs[w] != 0:
+                    if w > start and signs[start] * p * signs[w] < 0:
+                        record(tuple(path) + (w,), False, p)
+                    continue
+                path.append(w)
+                used |= bit
+                stack.append((iter(nbrs[w]), p))
+                break
+            else:
+                stack.pop()
+                used &= ~(1 << path.pop())
 
     ids = enc.ids
     return [
@@ -268,18 +270,17 @@ def _minimal_paths(enc: _Encoding, mask: int) -> list[Path]:
 
 
 def _moves(
-    enc: _Encoding, mask: int, all_paths: bool
+    enc: _Encoding, mask: int, paths: list, all_paths: bool
 ) -> tuple[tuple[int, NonExtreme | PathBreak], ...]:
-    """(deleted vertex id, rule) per child of the inconsistent node mask:
-    the least non-extreme vertex, else the breaks of the least minimal
-    inconsistent path, or with all_paths of every one (a vertex listed
-    once, at its first break)."""
+    """(deleted vertex id, rule) per child of the inconsistent node mask,
+    whose surviving _Encoding.paths entries are paths: the least non-extreme
+    vertex, else the breaks of the least minimal inconsistent path, or with
+    all_paths of every one (a vertex listed once, at its first break)."""
     non_extreme = mask & enc.non_extreme
     if non_extreme:
         return ((enc.ids[(non_extreme & -non_extreme).bit_length() - 1], _NON_EXTREME),)
-    paths = enc.paths(mask)
     if not all_paths:
-        return paths[0][2] if paths else ()
+        return paths[0][2]
     moves: dict[int, PathBreak] = {}
     for _, _, breaks in paths:
         for v, rule in breaks:
@@ -294,8 +295,8 @@ def reduction_children(g: PlumbingGraph) -> list[tuple[PlumbingGraph, RoundHandl
     if is_consistent(g):
         raise ValueError("consistent graph has no reduction children")
     enc = _Encoding(g)
-    full = enc.full
-    return [(g.delete_vertex(v), enc.datum(full, v, rule)) for v, rule in _moves(enc, full, False)]
+    moves = _moves(enc, enc.full, enc.paths, False)
+    return [(g.delete_vertex(v), enc.datum(enc.full, v, rule)) for v, rule in moves]
 
 
 def reduce_to_tree(g: PlumbingGraph, explore_all_paths: bool = False) -> ReductionTree:
@@ -305,10 +306,12 @@ def reduce_to_tree(g: PlumbingGraph, explore_all_paths: bool = False) -> Reducti
     masks over the root's compact encoding (the child of mask after deleting
     vertex i is mask & ~(1 << i)) and builds no node graph: TreeNode.graph
     builds one on first read.  The minimal inconsistent paths are enumerated
-    once and filtered per node (_Encoding.paths), and edges that delete the
-    same vertex by the same rule beside the same neighbours share one datum.
-    With explore_all_paths, every minimal inconsistent path contributes
-    children, not just the least.
+    once, on the root, and each queued node carries those that survive in
+    it; an all-extreme node is consistent exactly when none does (its
+    unsigned vertices have degree at most 2, see _kernel.pure).  Edges that
+    delete the same vertex by the same rule beside the same neighbours share
+    one datum.  With explore_all_paths, every minimal inconsistent path
+    contributes children, not just the least.
     """
     require_valid(g)
     tree = ReductionTree(root=g)
@@ -320,18 +323,22 @@ def reduce_to_tree(g: PlumbingGraph, explore_all_paths: bool = False) -> Reducti
     enc = _Encoding(g)
     full = enc.full
     sets = {full: root_set}
-    queue: deque[tuple[int, frozenset[int]]] = deque([(full, root_set)])
+    queue = deque([(full, root_set, enc.paths)])
     while queue:
-        mask, parent_set = queue.popleft()
-        for v, rule in _moves(enc, mask, explore_all_paths):
-            child = mask & ~(1 << enc.index[v])
+        mask, parent_set, paths = queue.popleft()
+        for v, rule in _moves(enc, mask, paths, explore_all_paths):
+            bit = 1 << enc.index[v]
+            child = mask & ~bit
             child_set = sets.get(child)
             if child_set is None:
                 child_set = sets[child] = parent_set - {v}
-                consistent = enc.consistent(child)
+                kept = [entry for entry in paths if not entry[0] & bit]
+                consistent = not (child & enc.non_extreme or kept)
                 tree.nodes[child_set] = TreeNode(g, child_set, consistent)
                 if not consistent:
-                    queue.append((child, child_set))
+                    # A child that loses no entry shares its parent's list:
+                    # the queue keeps a new list only where one shrinks.
+                    queue.append((child, child_set, kept if len(kept) < len(paths) else paths))
             tree.edges.append(TreeEdge(parent_set, child_set, enc.datum(mask, v, rule)))
     return tree
 

@@ -7,6 +7,7 @@ from test_tree_internals import signed_path
 from plumbjsj import reduction
 from plumbjsj.arith import MonodromyWord, monodromy_matrix
 from plumbjsj.cli import run_command
+from plumbjsj.graph import PlumbingGraph
 from plumbjsj.graphfile import write_graph_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,6 +74,24 @@ class TestReduce:
         status, out = run_command(["reduce", fixture("chain4.txt"), "--all-paths"])
         assert status == 0
         assert "leaves:" in out
+
+    def test_long_chain(self, tmp_path):
+        # Two signed vertices joined by a negative edge, then 1,998 unsigned
+        # ones: the path search from vertex 1 walks the whole chain, deeper
+        # than Python's recursion limit.
+        n = 2000
+        g = PlumbingGraph(
+            {0: (-3, 1), 1: (-3, 1), **{i: (-2, 0) for i in range(2, n)}},
+            [(0, 1, -1)] + [(i, i + 1, 1) for i in range(1, n - 1)],
+        )
+        path = tmp_path / "chain2000.txt"
+        path.write_text(write_graph_file(g))
+        status, out = run_command(["reduce", str(path)])
+        assert status == 0
+        lines = out.splitlines()
+        assert sum(line.startswith("node ") for line in lines) == 3
+        rest = ",".join(map(str, range(2, n)))
+        assert lines[lines.index("leaves:") + 1 :] == [f"  {{0,{rest}}}", f"  {{1,{rest}}}"]
 
     @pytest.mark.parametrize("flags", [[], ["--all-paths"]])
     def test_oversize_oracle_refused_before_reducing(self, flags, tmp_path, monkeypatch, capsys):

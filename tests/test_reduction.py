@@ -51,6 +51,17 @@ class TestMinimalInconsistentPaths:
         paths = minimal_inconsistent_paths(g)
         assert [p.vertices for p in paths] == [(0, 1)]
 
+    def test_long_closed_path(self):
+        # A 2,000-vertex cycle through one signed vertex: the search walks
+        # it deeper than Python's recursion limit.
+        n = 2000
+        g = PlumbingGraph(
+            {0: (-4, 2), **{i: (-2, 0) for i in range(1, n)}},
+            [(0, 1, -1)] + [(i, (i + 1) % n, 1) for i in range(1, n)],
+        )
+        paths = minimal_inconsistent_paths(g)
+        assert [(p.vertices, p.closed, p.sign) for p in paths] == [((*range(n), 0), True, -1)]
+
     def test_closed_path(self):
         g = PlumbingGraph(
             {0: (-3, 1), 1: (-2, 0), 2: (-2, 0)},

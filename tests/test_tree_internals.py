@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import brute_reduce
-from plumbjsj import graph, reduction
+from plumbjsj import _kernel, graph, reduction
 from plumbjsj.graph import PlumbingGraph, is_consistent
 from plumbjsj.graphfile import parse_graph_file
 from plumbjsj.reduction import (
@@ -17,6 +17,8 @@ from plumbjsj.reduction import (
     reduction_children,
 )
 from plumbjsj.report import _layout
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 ENTRY_POINTS = (
     reduce_to_tree,
@@ -50,18 +52,33 @@ def big_tree(big_graph):
 
 
 def assert_paths_filter_exactly(g, all_paths):
-    """On every all-extreme node of g's tree, the root's path list filtered
-    by the node's mask equals a fresh search on that mask; each entry's mask
-    is the set of its path's vertices, and its breaks name each vertex once,
-    at its first position."""
-    tree = reduce_to_tree(g, explore_all_paths=all_paths)
+    """On every all-extreme node of g's tree, the path entries the node
+    carries equal a fresh search on its mask, and the node is consistent
+    exactly when that search finds none; each entry's mask is the set of its
+    path's vertices, and its breaks name each vertex once, at its first
+    position.  A node's carried entries are read where it is expanded, so a
+    consistent node, which is never expanded, carries none."""
+    carried = {}
+    original = reduction._moves
+
+    def recording(enc, mask, paths, all_paths):
+        assert mask not in carried
+        carried[mask] = paths
+        return original(enc, mask, paths, all_paths)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_moves", recording)
+        tree = reduce_to_tree(g, explore_all_paths=all_paths)
     enc = reduction._Encoding(g)
-    for vertex_set in tree.nodes:
+    for vertex_set, node in tree.nodes.items():
         mask = sum(1 << enc.index[v] for v in vertex_set)
+        assert (mask in carried) == (not node.consistent)
         if mask & enc.non_extreme:
             continue
-        entries = enc.paths(mask)
-        assert [path for _, path, _ in entries] == reduction._minimal_paths(enc, mask)
+        entries = carried.get(mask, [])
+        fresh = reduction._minimal_paths(enc, mask)
+        assert node.consistent == (not fresh)
+        assert [path for _, path, _ in entries] == fresh
         for bits, path, breaks in entries:
             assert bits == sum(1 << enc.index[v] for v in set(path.vertices))
             assert breaks == tuple(
@@ -75,8 +92,7 @@ def test_filtered_paths_match_fresh_search(big_graph):
 
 
 def test_filtered_paths_match_fresh_search_on_a_cycle():
-    fixture = Path(__file__).parent / "fixtures" / "cycle3.txt"
-    g = parse_graph_file(fixture.read_text())
+    g = parse_graph_file((FIXTURES / "cycle3.txt").read_text())
     assert any(p.closed for p in reduction.minimal_inconsistent_paths(g))
     for all_paths in (False, True):
         assert_paths_filter_exactly(g, all_paths)
@@ -94,6 +110,26 @@ def test_paths_are_enumerated_once_per_tree(big_graph, all_paths, monkeypatch):
     monkeypatch.setattr(reduction, "_minimal_paths", counting)
     tree = reduce_to_tree(big_graph, explore_all_paths=all_paths)
     assert len(tree.nodes) > 1 and len(calls) == 1
+
+
+@pytest.mark.parametrize("all_paths", [False, True])
+@pytest.mark.parametrize("name", ["big", "cycle3"])
+def test_root_check_is_the_only_kernel_call(name, all_paths, big_graph, monkeypatch):
+    """Below the root's propagation check, every node is decided from the
+    path entries it carries, with no kernel call."""
+    g = big_graph if name == "big" else parse_graph_file((FIXTURES / "cycle3.txt").read_text())
+    calls = []
+    for routine in _kernel.__all__:
+        if routine not in ("BACKEND", "pure"):
+            original = getattr(_kernel, routine)
+
+            def counting(*args, _routine=routine, _original=original):
+                calls.append(_routine)
+                return _original(*args)
+
+            monkeypatch.setattr(_kernel, routine, counting)
+    tree = reduce_to_tree(g, explore_all_paths=all_paths)
+    assert len(tree.nodes) > 1 and calls == ["propagation_consistent"]
 
 
 def test_edges_share_data(big_tree):
